@@ -13,18 +13,16 @@
 // counts), twig (holistic twig executor on/off with allocation counts),
 // bitmap (dense-bitset filter kernels on/off with allocation counts),
 // limit (streaming early termination at limits 1/10/100 vs full
-// evaluation), par (parallel sharded execution scaling), batch (EvalBatch
-// over a skewed serving mix vs query-by-query evaluation), snapshot (binary
+// evaluation), par (parallel sharded execution scaling), snapshot (binary
 // .lpx cold start vs text parse+build), or all.
 //
 // -scale sets the fraction of the paper's corpus size (1.0 ≈ 49k WSJ
 // sentences / 3.5M nodes; the default 0.05 keeps a full run under a couple
 // of minutes). With -csv DIR each timing figure is also written as CSV.
-// With -json DIR the planner, exec, twig, bitmap, limit, par and batch
+// With -json DIR the planner, exec, twig, bitmap, limit and par
 // experiments additionally write the machine-readable BENCH_planner.json,
 // BENCH_executor.json, BENCH_twig.json, BENCH_bitmap.json,
-// BENCH_limit.json, BENCH_parallel.json and BENCH_batch.json (the CI bench
-// artifacts).
+// BENCH_limit.json and BENCH_parallel.json (the CI bench artifacts).
 // -workers caps the worker sweep of the parallel experiment (default:
 // GOMAXPROCS); the sweep measures 1, 2, 4, ... up to the cap.
 // -cpuprofile/-memprofile write pprof profiles covering the selected
@@ -38,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,9 +45,12 @@ import (
 	"lpath/internal/tree"
 )
 
+// figures lists the valid -fig names.
+var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "planner", "exec", "twig", "bitmap", "limit", "par", "snapshot", "all"}
+
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "experiment: 6a 6b 6c 7 8 9 10 ablations planner exec twig bitmap limit par batch snapshot all")
+		fig        = flag.String("fig", "all", "comma-separated experiments: "+strings.Join(figures, " "))
 		scale      = flag.Float64("scale", 0.05, "corpus scale (1.0 = paper size)")
 		seed       = flag.Int64("seed", 42, "corpus seed")
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
@@ -58,6 +60,18 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+
+	want := map[string]bool{}
+	for _, f := range strings.Split(*fig, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figures, f) {
+			fmt.Fprintf(os.Stderr, "lpathbench: unknown -fig %q; valid: %s\n", f, strings.Join(figures, " "))
+			os.Exit(2)
+		}
+		want[f] = true
+	}
+	all := want["all"]
+	need := func(name string) bool { return all || want[name] }
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -77,13 +91,6 @@ func main() {
 			check(f.Close())
 		}()
 	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	need := func(name string) bool { return all || want[name] }
 
 	fmt.Printf("lpathbench: scale=%.3f seed=%d (paper scale = 1.0)\n\n", *scale, *seed)
 
@@ -229,14 +236,6 @@ func main() {
 		bench.WriteParallel(os.Stdout, rows)
 		writeCSV(*csvDir, "parallel_scaling.csv", bench.CSVParallel(rows))
 		writeJSON(*jsonDir, "BENCH_parallel.json", func() ([]byte, error) { return bench.JSONParallel(rows) })
-		fmt.Println()
-	}
-	if need("batch") {
-		rows, err := bench.BatchImpact(buildWSJ())
-		check(err)
-		bench.WriteBatchImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "batch_impact.csv", bench.CSVBatchImpact(rows))
-		writeJSON(*jsonDir, "BENCH_batch.json", func() ([]byte, error) { return bench.JSONBatchImpact(rows) })
 		fmt.Println()
 	}
 }

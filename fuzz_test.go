@@ -1,7 +1,6 @@
 package lpath
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,16 +67,6 @@ func FuzzEvalOracle(f *testing.F) {
 		limited, limitedErr := c.SelectLimit(q, limit)
 		parLimited, parLimitedErr := c.SelectParallelLimit(q, limit)
 
-		// Batch rotation: a duplicate pair rides every cross-query memo layer
-		// (rows, frontiers, satisfiers) while the identity property is
-		// checked, and the text path adds the per-slot limit. Batch limits
-		// evaluate fully and truncate, so error agreement with Select is
-		// exact — no early-termination caveat.
-		batch, batchErrs := c.SelectBatch([]*Query{q, q})
-		batchPar, batchParErrs := c.SelectBatchParallel([]*Query{q, q})
-		batchText, batchTextErrs := c.SelectBatchLimitTextContext(
-			context.Background(), []string{query, query}, []int{limit, -1})
-
 		// Executor rotation: force the holistic twig sweep on every maximal
 		// run, then disable it; then force the set-at-a-time merge executor on
 		// every eligible step, then disable it (the merge rotations run with
@@ -123,14 +112,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if (plannedErr != nil) != (bitmappedErr != nil) || (plannedErr != nil) != (unbitmappedErr != nil) {
 			t.Fatalf("%q: planned err %v, bitmap-always err %v, bitmap-off err %v",
 				query, plannedErr, bitmappedErr, unbitmappedErr)
-		}
-		for i := 0; i < 2; i++ {
-			if (plannedErr != nil) != (batchErrs[i] != nil) ||
-				(plannedErr != nil) != (batchParErrs[i] != nil) ||
-				(plannedErr != nil) != (batchTextErrs[i] != nil) {
-				t.Fatalf("%q: planned err %v, batch slot %d errs %v/%v/%v",
-					query, plannedErr, i, batchErrs[i], batchParErrs[i], batchTextErrs[i])
-			}
 		}
 		if plannedErr != nil {
 			return // all evaluators agree the query errors on this corpus
@@ -189,21 +170,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(parLimited, wantPrefix) {
 			t.Fatalf("%q: SelectParallelLimit(%d) = %v, want prefix %v",
 				query, limit, matchKeys(parLimited), matchKeys(wantPrefix))
-		}
-		for i := 0; i < 2; i++ {
-			if !reflect.DeepEqual(batch[i], planned) || !reflect.DeepEqual(batchPar[i], planned) {
-				t.Fatalf("%q: batch slot %d differs from serial (%d/%d vs %d matches)",
-					query, i, len(batch[i]), len(batchPar[i]), len(planned))
-			}
-		}
-		if len(batchText[0]) != len(wantPrefix) ||
-			(len(wantPrefix) > 0 && !reflect.DeepEqual(batchText[0], wantPrefix)) {
-			t.Fatalf("%q: SelectBatchLimitText slot 0 (limit %d) = %v, want prefix %v",
-				query, limit, matchKeys(batchText[0]), matchKeys(wantPrefix))
-		}
-		if !reflect.DeepEqual(batchText[1], planned) {
-			t.Fatalf("%q: SelectBatchLimitText slot 1 (unlimited) differs from serial (%d vs %d matches)",
-				query, len(batchText[1]), len(planned))
 		}
 
 		oracle, oracleErr := c.SelectOracle(q)

@@ -10,7 +10,6 @@ import (
 
 	"lpath/internal/corpus"
 	"lpath/internal/engine"
-	"lpath/internal/lpath"
 	"lpath/internal/planner"
 	"lpath/internal/relstore"
 	"lpath/internal/tree"
@@ -749,162 +748,4 @@ func compileCount(s *Systems, text string) (time.Duration, error) {
 		}
 	})
 	return d, evalErr
-}
-
-// BatchSizes are the batch widths measured by BatchImpact.
-var BatchSizes = []int{1, 4, 16, 64}
-
-// BatchWorkloadLen is the length of the serving mix BatchImpact evaluates.
-const BatchWorkloadLen = 64
-
-// BatchWorkload is the deterministic 64-query serving mix of the batched
-// evaluation experiment: three of every four slots cycle the representative
-// Figure 9 trio — the way production query traffic skews toward a few hot
-// texts — and every fourth slot walks the full 23-query suite so the tail is
-// represented. At batch width 16 a window holds the hot trio four times over
-// plus four tail queries, so the cross-query rows memo collapses roughly
-// sixteen evaluations into seven.
-func (s *Systems) BatchWorkload() []int {
-	ids := s.QueryIDs()
-	out := make([]int, BatchWorkloadLen)
-	for i := range out {
-		if i%4 < 3 {
-			out[i] = Fig9Queries[i%4]
-		} else {
-			out[i] = ids[(i/4)%len(ids)]
-		}
-	}
-	return out
-}
-
-// BatchRow is one batch-width measurement: the whole workload evaluated
-// query-by-query (Serial) against the same workload evaluated in batches of
-// Size (Batched), with the memo sharing the batched pass achieved.
-type BatchRow struct {
-	Size    int
-	Serial  time.Duration // workload total, one Eval per query
-	Batched time.Duration // workload total, EvalBatch in chunks of Size
-	Stats   engine.BatchStats
-	Matches int // total matches across the workload
-}
-
-// Speedup is the serial/batched aggregate throughput ratio.
-func (r BatchRow) Speedup() float64 {
-	if r.Batched <= 0 {
-		return 0
-	}
-	return float64(r.Serial) / float64(r.Batched)
-}
-
-// RowsHitRate is the fraction of per-plan row scans answered by the batch
-// memo.
-func (r BatchRow) RowsHitRate() float64 {
-	if t := r.Stats.RowsHits + r.Stats.RowsMisses; t > 0 {
-		return float64(r.Stats.RowsHits) / float64(t)
-	}
-	return 0
-}
-
-// FrontierHitRate is the fraction of main-path frontier computations
-// answered by the batch memo.
-func (r BatchRow) FrontierHitRate() float64 {
-	if t := r.Stats.FrontierHits + r.Stats.FrontierMisses; t > 0 {
-		return float64(r.Stats.FrontierHits) / float64(t)
-	}
-	return 0
-}
-
-// SatHitRate is the fraction of semijoin satisfier sets answered by the
-// batch memo.
-func (r BatchRow) SatHitRate() float64 {
-	if t := r.Stats.SatHits + r.Stats.SatMisses; t > 0 {
-		return float64(r.Stats.SatHits) / float64(t)
-	}
-	return 0
-}
-
-// BatchImpact measures EvalBatch against query-by-query evaluation over the
-// BatchWorkload serving mix at each of BatchSizes. Every batched slot is
-// verified element-wise against its serial evaluation before any timing is
-// trusted, so the speedups are over identical results.
-func BatchImpact(s *Systems) ([]BatchRow, error) {
-	work := s.BatchWorkload()
-	paths := make([]*lpath.Path, len(work))
-	for i, id := range work {
-		paths[i] = s.lpathQ[id]
-	}
-
-	// Serial reference: one Eval per slot, also the identity oracle.
-	serial := make([][]engine.Match, len(work))
-	var total int
-	for i, id := range work {
-		got, err := s.LPath.Eval(paths[i])
-		if err != nil {
-			return nil, fmt.Errorf("Q%d serial: %w", id, err)
-		}
-		serial[i] = got
-		total += len(got)
-	}
-	var evalErr error
-	serialTime := TimeIt(func() {
-		for i := range paths {
-			if _, e := s.LPath.Eval(paths[i]); e != nil {
-				evalErr = e
-			}
-		}
-	})
-	if evalErr != nil {
-		return nil, fmt.Errorf("serial workload: %w", evalErr)
-	}
-
-	ctx := context.Background()
-	var out []BatchRow
-	for _, size := range BatchSizes {
-		// Verification pass (untimed): every slot must equal its serial
-		// evaluation; the memo hit counters come from this pass.
-		var stats engine.BatchStats
-		for lo := 0; lo < len(paths); lo += size {
-			hi := lo + size
-			if hi > len(paths) {
-				hi = len(paths)
-			}
-			got, errs, st := s.LPath.EvalBatchStats(ctx, paths[lo:hi], nil)
-			for j, e := range errs {
-				if e != nil {
-					return nil, fmt.Errorf("Q%d batch %d: %w", work[lo+j], size, e)
-				}
-				if !reflect.DeepEqual(got[j], serial[lo+j]) {
-					return nil, fmt.Errorf("bench: Q%d at batch width %d diverges from serial evaluation (%d vs %d matches)",
-						work[lo+j], size, len(got[j]), len(serial[lo+j]))
-				}
-			}
-			stats.Add(st)
-		}
-		// Timing pass: pure evaluation, no per-slot comparison.
-		batched := TimeIt(func() {
-			for lo := 0; lo < len(paths); lo += size {
-				hi := lo + size
-				if hi > len(paths) {
-					hi = len(paths)
-				}
-				_, errs := s.LPath.EvalBatchContext(ctx, paths[lo:hi])
-				for _, e := range errs {
-					if e != nil {
-						evalErr = e
-					}
-				}
-			}
-		})
-		if evalErr != nil {
-			return nil, fmt.Errorf("batch %d: %w", size, evalErr)
-		}
-		out = append(out, BatchRow{
-			Size:    size,
-			Serial:  serialTime,
-			Batched: batched,
-			Stats:   stats,
-			Matches: total,
-		})
-	}
-	return out, nil
 }

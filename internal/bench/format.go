@@ -491,63 +491,3 @@ func CSVFig10(rows []LabelTiming) string {
 	}
 	return b.String()
 }
-
-// WriteBatchImpact renders the batched-evaluation measurements.
-func WriteBatchImpact(w io.Writer, rows []BatchRow) {
-	fmt.Fprintf(w, "Batch impact: EvalBatch over the %d-query serving mix vs query-by-query (s)\n", BatchWorkloadLen)
-	fmt.Fprintf(w, "%-6s %10s %10s %9s %8s %8s %8s\n",
-		"batch", "serial", "batched", "speedup", "rows%", "front%", "sat%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %10s %10s %8.2fx %7.1f%% %7.1f%% %7.1f%%\n",
-			r.Size, secs(r.Serial), secs(r.Batched), r.Speedup(),
-			100*r.RowsHitRate(), 100*r.FrontierHitRate(), 100*r.SatHitRate())
-	}
-}
-
-// CSVBatchImpact renders the batched-evaluation rows as CSV.
-func CSVBatchImpact(rows []BatchRow) string {
-	var b strings.Builder
-	b.WriteString("batch,serial_s,batched_s,speedup,rows_hit_rate,frontier_hit_rate,sat_hit_rate,matches\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%f,%f,%f,%f,%f,%f,%d\n",
-			r.Size, r.Serial.Seconds(), r.Batched.Seconds(), r.Speedup(),
-			r.RowsHitRate(), r.FrontierHitRate(), r.SatHitRate(), r.Matches)
-	}
-	return b.String()
-}
-
-// batchJSONRow is the machine-readable shape of one BatchRow. The benchguard
-// gate matches rows by the query field, which here carries the batch width;
-// ns_per_op is the batched workload total so the gate watches the shared
-// evaluation path itself.
-type batchJSONRow struct {
-	Query           int     `json:"query"` // batch width (benchguard row key)
-	Text            string  `json:"text"`
-	NsPerOp         int64   `json:"ns_per_op"`
-	NsPerOpSerial   int64   `json:"ns_per_op_serial"`
-	Speedup         float64 `json:"speedup"`
-	RowsHitRate     float64 `json:"rows_hit_rate"`
-	FrontierHitRate float64 `json:"frontier_hit_rate"`
-	SatHitRate      float64 `json:"sat_hit_rate"`
-	Matches         int     `json:"matches"`
-}
-
-// JSONBatchImpact renders the batched-evaluation rows as indented JSON, the
-// payload of the BENCH_batch.json artifact.
-func JSONBatchImpact(rows []BatchRow) ([]byte, error) {
-	out := make([]batchJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, batchJSONRow{
-			Query:           r.Size,
-			Text:            fmt.Sprintf("workload %dq, batch width %d", BatchWorkloadLen, r.Size),
-			NsPerOp:         r.Batched.Nanoseconds(),
-			NsPerOpSerial:   r.Serial.Nanoseconds(),
-			Speedup:         r.Speedup(),
-			RowsHitRate:     r.RowsHitRate(),
-			FrontierHitRate: r.FrontierHitRate(),
-			SatHitRate:      r.SatHitRate(),
-			Matches:         r.Matches,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}

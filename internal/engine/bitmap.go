@@ -288,25 +288,6 @@ func (e *Engine) satisfierBits(sj *planner.Semijoin, x lpath.Expr, scope int32, 
 	if set, ok := ctx.satBits[key]; ok {
 		return set, nil
 	}
-	// Batched evaluation: an unscoped satisfier set is a pure function of the
-	// filter's canonical key (planner.Semijoin.Key) against the store, so a
-	// batch mate that materialized an identical filter shares it with one
-	// word-parallel copy instead of a recomputation. The local entry stays an
-	// arena set (clearSat recycles it); the batch keeps a heap-owned copy.
-	shared := ctx.batch != nil && scope == noRow && !ctx.windowed && ctx.act == nil && sj.Key != ""
-	if shared {
-		if cached, ok := ctx.batch.satBits[sj.Key]; ok {
-			ctx.batch.stats.SatHits++
-			set := ctx.ar.getBitset(e.s.Len())
-			set.CopyFrom(cached)
-			if ctx.satBits == nil {
-				ctx.satBits = make(map[satKey]*bitset.Set)
-			}
-			ctx.satBits[key] = set
-			return set, nil
-		}
-		ctx.batch.stats.SatMisses++
-	}
 	set, err := e.bitsetSatisfiers(sj, x, scope, ctx)
 	if err != nil {
 		return nil, err
@@ -315,11 +296,6 @@ func (e *Engine) satisfierBits(sj *planner.Semijoin, x lpath.Expr, scope int32, 
 		ctx.satBits = make(map[satKey]*bitset.Set)
 	}
 	ctx.satBits[key] = set
-	if shared {
-		cp := bitset.New(e.s.Len())
-		cp.CopyFrom(set)
-		ctx.batch.satBits[sj.Key] = cp
-	}
 	return set, nil
 }
 

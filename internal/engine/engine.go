@@ -373,17 +373,12 @@ func (e *Engine) ExplainContext(cctx context.Context, p *lpath.Path) (string, er
 	return plan.Render(ctx.act), nil
 }
 
-// ExplainPlan is Explain executing a supplied cached plan instead of
-// replanning — the serving path for EXPLAIN over a plan cache. The actual
-// cardinalities are collected into a fresh counter set on every call, so a
-// plan reused across executions never reports a prior run's actuals. A nil
-// plan (a WithoutPlanner cache entry) falls back to Explain's own planning.
-func (e *Engine) ExplainPlan(p *lpath.Path, plan *planner.Plan) (string, error) {
-	return e.ExplainPlanContext(context.Background(), p, plan)
-}
-
-// ExplainPlanContext is ExplainPlan honoring a context for cooperative
-// cancellation.
+// ExplainPlanContext is ExplainContext executing a supplied cached plan
+// instead of replanning — the serving path for EXPLAIN over a plan cache.
+// The actual cardinalities are collected into a fresh counter set on every
+// call, so a plan reused across executions never reports a prior run's
+// actuals. A nil plan (a WithoutPlanner cache entry) falls back to
+// ExplainContext's own planning.
 func (e *Engine) ExplainPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (string, error) {
 	if plan == nil {
 		return e.ExplainContext(cctx, p)
@@ -419,28 +414,6 @@ func (e *Engine) evalPath(p *lpath.Path, binds []bind, ctx *evalCtx) ([]bind, er
 // arena-owned and released here; otherwise they belong to the caller.
 func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, ctx *evalCtx) ([]bind, error) {
 	cur := binds
-	// Batched evaluation: the frontier after the main path's step sequence is
-	// a pure function of its canonical key from the virtual root, so a batch
-	// mate that already walked an identical step sequence hands its frontier
-	// over (batch.go). Hits skip the step loop and resume at the scoped tail.
-	frontKey := ctx.frontierKey(p, start, binds)
-	if frontKey != "" {
-		if cached, ok := ctx.batch.frontiers[frontKey]; ok {
-			ctx.batch.stats.FrontierHits++
-			if owned {
-				ctx.ar.putBinds(cur)
-			}
-			if len(cached) == 0 {
-				return nil, nil
-			}
-			cur = append(ctx.ar.getBinds(), cached...)
-			owned = true
-			start = len(p.Steps)
-			frontKey = "" // served from the memo; nothing to store
-		} else {
-			ctx.batch.stats.FrontierMisses++
-		}
-	}
 	for i := start; i < len(p.Steps); {
 		var next []bind
 		var err error
@@ -465,15 +438,9 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 		}
 		cur, owned = next, true
 		if len(cur) == 0 {
-			if frontKey != "" {
-				ctx.batch.frontiers[frontKey] = []bind{}
-			}
 			ctx.ar.putBinds(cur)
 			return nil, nil
 		}
-	}
-	if frontKey != "" {
-		ctx.batch.frontiers[frontKey] = append([]bind(nil), cur...)
 	}
 	if p.Scoped != nil {
 		if e.useBitmapEntry(p.Scoped, ctx) {

@@ -34,11 +34,6 @@ type evalCtx struct {
 	satNeg  map[satKey]bool
 	// act collects actual cardinalities when EXPLAIN runs the query.
 	act *planner.Actuals
-	// batch is the cross-query memo of the enclosing EvalBatch call, nil
-	// outside batched evaluation (batch.go). Unlike sat/satBits it is keyed
-	// by canonical structural keys, not AST identity, so it survives across
-	// the batch's per-query evaluation contexts.
-	batch *batchMemo
 	// ar is the evaluation's scratch arena (see arena.go); it survives
 	// across evaluations via the Engine's evalCtx pool.
 	ar *arena
@@ -119,7 +114,6 @@ func (e *Engine) newEvalCtx(plan *planner.Plan, cctx context.Context) *evalCtx {
 func (e *Engine) releaseCtx(ctx *evalCtx) {
 	ctx.plan = nil
 	ctx.act = nil
-	ctx.batch = nil
 	ctx.cctx = nil
 	ctx.tick = 0
 	ctx.cerr = nil

@@ -10,7 +10,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"lpath/internal/lpath"
@@ -183,7 +185,11 @@ func EvalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, lim
 				sctx, cancel := context.WithCancel(ctx)
 				cancels[i] = cancel
 				mu.Unlock()
-				ms, err := shards[i].EvalPlanLimitContext(sctx, p, plan, limit)
+				var ms []Match
+				err := recoverShard(i, func() (err error) {
+					ms, err = shards[i].EvalPlanLimitContext(sctx, p, plan, limit)
+					return err
+				})
 				cancel()
 				record(i, ms, err)
 			}
@@ -260,9 +266,35 @@ func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ..
 	return total, nil
 }
 
+// ShardPanicError reports a panic inside one shard's evaluation. The
+// parallel entry points return it instead of letting the panic kill the
+// process; like any other shard failure, the lowest-indexed shard's error
+// wins.
+type ShardPanicError struct {
+	Shard int
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *ShardPanicError) Error() string {
+	return fmt.Sprintf("engine: shard %d panicked: %v", e.Shard, e.Value)
+}
+
+// recoverShard runs one shard's work, turning a panic into a
+// *ShardPanicError.
+func recoverShard(shard int, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &ShardPanicError{Shard: shard, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
 // runShards runs fn(ctx, i) for every shard index over a bounded worker
-// pool. The first error cancels the remaining work (abandoning shards that
-// have not started and interrupting in-flight, context-honoring fn calls),
+// pool; a panic in fn is that shard's failure (a *ShardPanicError). The
+// first error cancels the remaining work (abandoning shards that have not
+// started and interrupting in-flight, context-honoring fn calls),
 // but error *propagation* is deterministic: per-shard errors are collected
 // by index, and the lowest-indexed shard's non-cancellation error is
 // returned — so the parallel entry points report the same error as the
@@ -290,7 +322,7 @@ func runShards(ctx context.Context, n, workers int, fn func(context.Context, int
 				if ctx.Err() != nil {
 					continue // drain: cancelled work is not evaluated
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := recoverShard(i, func() error { return fn(ctx, i) }); err != nil {
 					errs[i] = err
 					cancel()
 				}

@@ -56,7 +56,7 @@ func (pl *Planner) planExpr(x lpath.Expr, c ectx, nCtx float64, plan *Plan) *Pre
 		pp.Sel, pp.Cost = 0.5, 0
 
 	case *lpath.CountExpr:
-		hp := pl.planPath(e.Path, c, 1, plan, "", false)
+		hp := pl.planPath(e.Path, c, 1, plan)
 		pp.Sel = 0.5
 		pp.Cost = hp.cost
 		pp.Paths = []*PathPlan{hp}
@@ -67,7 +67,7 @@ func (pl *Planner) planExpr(x lpath.Expr, c ectx, nCtx float64, plan *Plan) *Pre
 			pp.Sel, pp.Cost = 0.1, 1
 			break
 		}
-		hp := pl.planPath(head, c, 1, plan, "", false)
+		hp := pl.planPath(head, c, 1, plan)
 		pp.Sel = clampSel(math.Min(1, hp.EstOut) * 0.1)
 		pp.Cost = hp.cost + 1
 		pp.Paths = []*PathPlan{hp}
@@ -119,7 +119,7 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 		return pp
 	}
 
-	hp := pl.planPath(head, c, 1, plan, "", false)
+	hp := pl.planPath(head, c, 1, plan)
 	pp.Paths = []*PathPlan{hp}
 	m := hp.EstOut
 	lastTest := lastStepTest(head)
@@ -159,7 +159,7 @@ func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, at
 	k := len(steps)
 	last := &steps[k-1]
 
-	sj := &Semijoin{Expr: x, Key: exprText(x), Head: head, Attr: attr, Op: op, Value: value}
+	sj := &Semijoin{Expr: x, Head: head, Attr: attr, Op: op, Value: value}
 	var seedCost float64
 	switch {
 	case op == "=" && attr != "" && !pl.noValue:

@@ -18,7 +18,6 @@ package planner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"lpath/internal/lpath"
@@ -167,27 +166,11 @@ func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 // expression, or nil when the predicate runs forward.
 func (p *Plan) SemijoinFor(x lpath.Expr) *Semijoin { return p.semis[x] }
 
-// MainKey returns the canonical structural key of the main path's step
-// sequence when path is the plan's root path, and "" otherwise. The batch
-// executor uses it to recognize step-frontier computations shared across the
-// queries of a batch.
-func (p *Plan) MainKey(path *lpath.Path) string {
-	if p == nil || p.Root == nil || p.Root.Path != path {
-		return ""
-	}
-	return p.Root.Key
-}
-
 // PathPlan mirrors one relative path of the query.
 type PathPlan struct {
 	Path   *lpath.Path
 	Steps  []*StepPlan
 	Scoped *PathPlan
-	// Key is the canonical structural key of the path's step sequence
-	// (excluding any scoped tail): the cumulative key of its last step, or
-	// the inherited prefix for a step-less path. Empty on predicate paths,
-	// which are keyed through their semijoins instead.
-	Key string
 	// EstOut is the estimated number of bindings the path produces.
 	EstOut float64
 	// cost is the modeled total row touches of evaluating the path once.
@@ -198,14 +181,6 @@ type PathPlan struct {
 type StepPlan struct {
 	Step   *lpath.Step
 	Access Access
-	// Key is the canonical structural key of the step: the canonical print
-	// of the main path's steps (including predicates, alignment and subtree
-	// scope openings) from the virtual root up to and including this one.
-	// Equal keys across queries mean equal inputs to the planner and equal
-	// candidate frontiers at this point, which is what the batch executor's
-	// cross-query memo keys on (engine.EvalBatch). Empty on predicate-path
-	// steps, whose sharing runs through Semijoin.Key instead.
-	Key string
 	// Strategy says whether the engine executes the step as per-binding
 	// probes or as one set-at-a-time merge over the sorted frontier.
 	Strategy Strategy
@@ -267,12 +242,6 @@ type PredPlan struct {
 // axes back — then answer each candidate with a set-membership test.
 type Semijoin struct {
 	Expr lpath.Expr
-	// Key is the canonical print of the filter expression. An unscoped
-	// satisfier set is a pure function of this key against one store
-	// generation — the filter path, operator and value fully determine which
-	// rows satisfy it — so equal keys across queries in a batch share one
-	// materialization (engine.EvalBatch).
-	Key string
 	// Head is the filter path with a trailing attribute step removed.
 	Head *lpath.Path
 	// Attr (without '@'), Op and Value carry the attribute comparison the
@@ -342,9 +311,6 @@ func (p *Plan) renderPred(b *strings.Builder, pred *PredPlan, a *Actuals, indent
 	if pred.Note != "" {
 		fmt.Fprintf(b, "  %s", pred.Note)
 	}
-	if sj := p.semis[pred.Expr]; sj != nil && sj.Key != "" {
-		fmt.Fprintf(b, "  share=%s", shareHash(sj.Key))
-	}
 	if a != nil {
 		if sj := p.semisUnder(pred.Expr); sj != nil {
 			if n, ok := a.SemiSeed[sj.Expr]; ok {
@@ -386,35 +352,10 @@ func (p *Plan) semisUnder(x lpath.Expr) *Semijoin {
 }
 
 func accessText(sp *StepPlan) string {
-	var s string
 	if sp.Access == AccessValueIndex {
-		s = fmt.Sprintf("value-index %s=%s ~%d postings exec=%s", sp.Attr, sp.Value, sp.Postings, sp.Strategy)
-	} else {
-		s = fmt.Sprintf("%s exec=%s", sp.Access, sp.Strategy)
+		return fmt.Sprintf("value-index %s=%s ~%d postings exec=%s", sp.Attr, sp.Value, sp.Postings, sp.Strategy)
 	}
-	if sp.Key != "" {
-		s += " share=" + shareHash(sp.Key)
-	}
-	return s
-}
-
-// shareHash compacts a canonical structural key into the fixed-width token
-// EXPLAIN prints after share=. Two steps (or filters) with the same token
-// compute the same intermediate result against one store generation, so a
-// batch evaluates it once.
-func shareHash(key string) string {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%08x", h.Sum32())
-}
-
-// stepCanon is the canonical print of one full location step — axis, test,
-// edge alignment and predicates — used to build the cumulative structural
-// keys. Unlike stepText it keeps the predicates: two steps share a frontier
-// only when their filters agree too.
-func stepCanon(s *lpath.Step) string {
-	p := &lpath.Path{Steps: []lpath.Step{*s}}
-	return p.String()
+	return fmt.Sprintf("%s exec=%s", sp.Access, sp.Strategy)
 }
 
 func stepText(s *lpath.Step) string {

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"lpath"
 )
 
 // statusClientClosed is the conventional (nginx) code for "client closed
@@ -264,8 +266,9 @@ func (s *Server) handleEval(kind string) http.HandlerFunc {
 func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *queryRequest) (*queryResponse, any, error) {
 	resp := &queryResponse{Corpus: entry.Name, Query: req.Query}
 
-	// Count executor strategies once per uncached evaluation, from the same
-	// plan the engine will run; compile errors surface here first.
+	// One plan-cache lookup resolves the text to the plan the engine runs;
+	// compile errors surface here, and the executor strategies are counted
+	// from that same plan.
 	q, err := entry.Corpus.CompileCached(req.Query)
 	if err != nil {
 		return nil, nil, err
@@ -276,7 +279,7 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 
 	switch kind {
 	case "query":
-		qr, err := s.evaluateQuery(ctx, entry, req)
+		qr, err := evaluateQuery(ctx, entry.Corpus, q, req)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -284,7 +287,7 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 		resp.Corpus, resp.Query = entry.Name, req.Query
 		return resp, qr, nil
 	case "count":
-		n, err := entry.Corpus.CountTextContext(ctx, req.Query)
+		n, err := entry.Corpus.CountContext(ctx, q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -304,59 +307,32 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 // evaluateQuery runs one uncached /v1/query evaluation with the limit pushed
 // into the engine: the corpus streams matches in (tree, document) order and
 // stops after limit+1 — the extra match is how the server learns whether the
-// limit truncated the result without evaluating the rest of the corpus. With
-// request coalescing enabled the evaluation routes through the coalescer,
-// which may run it inside a shared batch pass alongside concurrent requests
-// (coalesce.go); the returned queryResult is identical either way. The
+// limit truncated the result without evaluating the rest of the corpus. The
 // exact total costs a separate count-only evaluation and is computed only
 // when the request asks for it (or comes free because the stream ran dry).
-func (s *Server) evaluateQuery(ctx context.Context, entry *Entry, req *queryRequest) (*queryResult, error) {
-	var qr *queryResult
-	var err error
-	if s.coal != nil {
-		qr, err = s.coal.do(ctx, entry, req.Query, req.Limit)
-	} else {
-		var ms []matchJSON
-		ms, err = s.selectDirect(ctx, entry, req)
-		if err == nil {
-			qr = &queryResult{matches: ms}
-			if len(ms) <= req.Limit {
-				qr.complete, qr.count, qr.countKnown = true, len(ms), true
-			}
-		}
-	}
+func evaluateQuery(ctx context.Context, c *lpath.Corpus, q *lpath.Query, req *queryRequest) (*queryResult, error) {
+	ms, err := c.SelectLimitContext(ctx, q, req.Limit+1)
 	if err != nil {
 		return nil, err
 	}
-	if req.Count && !qr.countKnown {
-		n, err := entry.Corpus.CountTextContext(ctx, req.Query)
-		if err != nil {
-			return nil, err
-		}
-		// A coalesced queryResult may be shared with batch mates and the
-		// cache: attach the count to a copy rather than mutating it.
-		counted := *qr
-		counted.count, counted.countKnown = n, true
-		qr = &counted
-	}
-	return qr, nil
-}
-
-// selectDirect is the uncoalesced limit+1 evaluation.
-func (s *Server) selectDirect(ctx context.Context, entry *Entry, req *queryRequest) ([]matchJSON, error) {
-	ms, err := entry.Corpus.SelectLimitTextContext(ctx, req.Query, req.Limit+1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]matchJSON, len(ms))
+	qr := &queryResult{matches: make([]matchJSON, len(ms))}
 	for i, m := range ms {
-		out[i] = matchJSON{
+		qr.matches[i] = matchJSON{
 			Tree: m.TreeID,
 			Tag:  m.Node.Tag,
 			Text: strings.Join(m.Node.Words(), " "),
 		}
 	}
-	return out, nil
+	switch {
+	case len(ms) <= req.Limit:
+		qr.complete, qr.count, qr.countKnown = true, len(ms), true
+	case req.Count:
+		if qr.count, err = c.CountContext(ctx, q); err != nil {
+			return nil, err
+		}
+		qr.countKnown = true
+	}
+	return qr, nil
 }
 
 // handleHealthz reports readiness: 200 with the corpus inventory once at
@@ -413,29 +389,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "# HELP lpathd_result_cache_bytes Estimated resident bytes of cached results.\n")
 			fmt.Fprintf(w, "# TYPE lpathd_result_cache_bytes gauge\n")
 			fmt.Fprintf(w, "lpathd_result_cache_bytes %d\n", st.Bytes)
-		},
-		func(w io.Writer) {
-			if s.coal == nil {
-				return
-			}
-			st := s.coal.Stats()
-			fmt.Fprintf(w, "# HELP lpathd_batch_size Queries per evaluated /v1/query batch (1 = uncoalesced).\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_size histogram\n")
-			var cum uint64
-			for i, ub := range batchSizeBuckets {
-				cum += st.SizeCounts[i]
-				fmt.Fprintf(w, "lpathd_batch_size_bucket{le=\"%d\"} %d\n", ub, cum)
-			}
-			cum += st.SizeCounts[len(batchSizeBuckets)]
-			fmt.Fprintf(w, "lpathd_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-			fmt.Fprintf(w, "lpathd_batch_size_sum %d\n", st.SizeSum)
-			fmt.Fprintf(w, "lpathd_batch_size_count %d\n", st.SizeTotal)
-			fmt.Fprintf(w, "# HELP lpathd_batch_dedup_total Requests answered by an identical query coalesced into the same batch.\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_dedup_total counter\n")
-			fmt.Fprintf(w, "lpathd_batch_dedup_total %d\n", st.Dedup)
-			fmt.Fprintf(w, "# HELP lpathd_batch_coalesced_total Requests served through a multi-request batch.\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_coalesced_total counter\n")
-			fmt.Fprintf(w, "lpathd_batch_coalesced_total %d\n", st.Coalesced)
 		},
 		func(w io.Writer) {
 			fmt.Fprintf(w, "# HELP lpathd_plan_cache Plan cache counters, by corpus.\n")

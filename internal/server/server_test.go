@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"lpath"
 )
@@ -325,5 +328,113 @@ func TestHTTPRoundTrip(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestMetricsExposeCacheBytes: the /metrics exposition carries the result
+// cache's byte gauge and byte-bound eviction counter.
+func TestMetricsExposeCacheBytes(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	postJSON(t, h, "/v1/query", queryRequest{Query: `//NP`, Limit: 2})
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := w.Body.String()
+	for _, want := range []string{
+		"lpathd_result_cache_bytes",
+		`lpathd_result_cache{event="bytes_eviction"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics exposition lacks %q", want)
+		}
+	}
+}
+
+// TestUncachedRequestsPlanOnce: an uncached request resolves its text
+// through the corpus's plan cache exactly once. The plan that lookup returns
+// supplies the strategy metrics and is the plan the engine runs, including
+// the count-only evaluation a truncated "count": true query adds.
+func TestUncachedRequestsPlanOnce(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	h := s.Handler()
+	for i, tc := range []struct {
+		path string
+		req  queryRequest
+	}{
+		{"/v1/query", queryRequest{Query: `//NP/NN`}},
+		{"/v1/query", queryRequest{Query: `//VP/NP`, Limit: 1, Count: true}},
+		{"/v1/count", queryRequest{Query: `//S//VB`}},
+		{"/v1/explain", queryRequest{Query: `//PP/NP`}},
+	} {
+		before := c.PlanCacheStats()
+		w := postJSON(t, h, tc.path, tc.req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%d: %s status %d: %s", i, tc.path, w.Code, w.Body.String())
+		}
+		if resp := decodeResponse(t, w); resp.Cached {
+			t.Fatalf("%d: %s %q served from the result cache", i, tc.path, tc.req.Query)
+		}
+		after := c.PlanCacheStats()
+		if n := after.Hits + after.Misses - before.Hits - before.Misses; n != 1 {
+			t.Errorf("%d: %s %q made %d plan-cache lookups, want 1", i, tc.path, tc.req.Query, n)
+		}
+	}
+}
+
+// TestConcurrentQueriesMatchSelectLimit drives identical and distinct
+// /v1/query requests through the handler from many goroutines at once, with
+// and without the result cache; every answer must equal SelectLimit's. Run
+// it under -race.
+func TestConcurrentQueriesMatchSelectLimit(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxInFlight: 4, MaxQueue: 64, QueueWait: time.Minute},
+		{MaxInFlight: 4, MaxQueue: 64, QueueWait: time.Minute, CacheSize: -1},
+	} {
+		s, c := newTestServer(t, cfg)
+		h := s.Handler()
+		const limit = 5
+		texts := []string{`//NP`, `//VP/NP`, `//S//NN`, `//NP[//JJ]`, `//VP{//NP$}`, `//_[@lex=the]`}
+		want := make(map[string][]matchJSON, len(texts))
+		for _, text := range texts {
+			ms, err := c.SelectLimit(lpath.MustCompile(text), limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[text] = make([]matchJSON, len(ms))
+			for i, m := range ms {
+				want[text][i] = matchJSON{Tree: m.TreeID, Tag: m.Node.Tag, Text: strings.Join(m.Node.Words(), " ")}
+			}
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 12; i++ {
+					// Half the goroutines repeat one text, the rest cycle.
+					text := texts[0]
+					if g%2 == 1 {
+						text = texts[(g+i)%len(texts)]
+					}
+					w := postJSON(t, h, "/v1/query", queryRequest{Query: text, Limit: limit})
+					if w.Code != http.StatusOK {
+						t.Errorf("%q: status %d: %s", text, w.Code, w.Body.String())
+						return
+					}
+					var resp queryResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+						t.Errorf("%q: decoding: %v", text, err)
+						return
+					}
+					if !reflect.DeepEqual(resp.Matches, want[text]) {
+						t.Errorf("%q (cache size %d): got %v, want %v", text, cfg.CacheSize, resp.Matches, want[text])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

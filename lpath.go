@@ -58,6 +58,13 @@ func ParseTree(s string) (*Tree, error) { return tree.ParseTree(s) }
 type Query struct {
 	text string
 	path *ast.Path
+	// exec is the executable plan CompileCached resolved for corpus at
+	// store generation gen. Evaluating the query on that corpus at that
+	// generation runs exec directly; any other corpus or generation plans
+	// the query afresh.
+	corpus *Corpus
+	gen    uint64
+	exec   *planner.Plan
 }
 
 // Compile parses and validates an LPath query.
@@ -464,10 +471,7 @@ func (c *Corpus) engineOpts() []engine.Option {
 // Select evaluates the query with the label-based engine and returns the
 // distinct matches of its final step in document order.
 func (c *Corpus) Select(q *Query) ([]Match, error) {
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	return c.eng.Eval(q.path)
+	return c.SelectContext(context.Background(), q)
 }
 
 // SelectContext is Select honoring a context: cancellation or an expired
@@ -479,7 +483,7 @@ func (c *Corpus) SelectContext(ctx context.Context, q *Query) ([]Match, error) {
 	if err := c.Build(); err != nil {
 		return nil, err
 	}
-	return c.eng.EvalContext(ctx, q.path)
+	return c.eng.EvalPlanContext(ctx, q.path, c.plan(q))
 }
 
 // SelectLimit evaluates the query with early termination and returns at most
@@ -498,7 +502,7 @@ func (c *Corpus) SelectLimitContext(ctx context.Context, q *Query, limit int) ([
 	if err := c.Build(); err != nil {
 		return nil, err
 	}
-	return c.eng.EvalLimitContext(ctx, q.path, limit)
+	return c.eng.EvalPlanLimitContext(ctx, q.path, c.plan(q), limit)
 }
 
 // Matches returns a range-over-func iterator over the query's matches in
@@ -525,7 +529,7 @@ func (c *Corpus) MatchesContext(ctx context.Context, q *Query) iter.Seq2[Match, 
 			yield(Match{}, err)
 			return
 		}
-		err := c.eng.Stream(ctx, q.path, func(m Match) bool {
+		err := c.eng.StreamPlan(ctx, q.path, c.plan(q), func(m Match) bool {
 			return yield(m, nil)
 		})
 		if err != nil {
@@ -538,10 +542,7 @@ func (c *Corpus) MatchesContext(ctx context.Context, q *Query) iter.Seq2[Match, 
 // count-only pipeline: the same joins as Select, but without the final sort
 // and node materialization. Count always equals len(Select(q)).
 func (c *Corpus) Count(q *Query) (int, error) {
-	if err := c.Build(); err != nil {
-		return 0, err
-	}
-	return c.eng.Count(q.path)
+	return c.CountContext(context.Background(), q)
 }
 
 // CountContext is Count honoring a context, with the same cooperative
@@ -550,7 +551,7 @@ func (c *Corpus) CountContext(ctx context.Context, q *Query) (int, error) {
 	if err := c.Build(); err != nil {
 		return 0, err
 	}
-	return c.eng.CountContext(ctx, q.path)
+	return c.eng.CountPlanContext(ctx, q.path, c.plan(q))
 }
 
 // Explain plans the query against the corpus statistics, executes the plan
@@ -558,54 +559,47 @@ func (c *Corpus) CountContext(ctx context.Context, q *Query) (int, error) {
 // chosen access path and the estimated vs actual rows (see docs/PLANNER.md
 // for the format).
 func (c *Corpus) Explain(q *Query) (string, error) {
-	if err := c.Build(); err != nil {
-		return "", err
-	}
-	return c.eng.Explain(q.path)
+	return c.ExplainContext(context.Background(), q)
 }
 
 // ExplainContext is Explain honoring a context for cooperative
 // cancellation: EXPLAIN executes the query, so a deadline bounds it like any
-// other evaluation.
+// other evaluation. A query from CompileCached reports the cached plan it
+// would run; the actual-cardinality counters are fresh on every call.
 func (c *Corpus) ExplainContext(ctx context.Context, q *Query) (string, error) {
 	if err := c.Build(); err != nil {
 		return "", err
 	}
-	return c.eng.ExplainContext(ctx, q.path)
+	var exec *planner.Plan
+	if c.planned(q) {
+		exec = q.exec
+	}
+	// A nil plan makes the engine plan the query itself, even when planning
+	// is disabled: EXPLAIN exists to show what the planner would do.
+	return c.eng.ExplainPlanContext(ctx, q.path, exec)
 }
 
-// ExplainText is Explain on raw query text through the plan cache: the
-// report renders the cached executable plan a repeated text will actually
-// run, and the actual-cardinality counters are fresh on every call — a
-// cached plan never reports a prior execution's actuals.
+// ExplainText is Explain on raw query text through the plan cache (see
+// CompileCached): the report renders the cached executable plan a repeated
+// text will actually run.
 func (c *Corpus) ExplainText(text string) (string, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return "", err
-		}
-		return c.Explain(q)
-	}
-	if err := c.Build(); err != nil {
-		return "", err
-	}
-	ast, exec, err := c.cachedPlan(text)
+	q, err := c.CompileCached(text)
 	if err != nil {
 		return "", err
 	}
-	return c.eng.ExplainPlan(ast, exec)
+	return c.Explain(q)
 }
 
-// Strategies plans the query against the current corpus statistics and
-// returns how many of its main-path steps execute as per-binding probes, as
-// set-at-a-time merges, as members of holistic twig runs, and as bitmap
-// scope entries (the exec= column of EXPLAIN; see docs/EXECUTION.md). With
-// planning disabled every step counts as a probe.
+// Strategies returns how many of the query's main-path steps execute as
+// per-binding probes, as set-at-a-time merges, as members of holistic twig
+// runs, and as bitmap scope entries (the exec= column of EXPLAIN; see
+// docs/EXECUTION.md) under the plan Select would run. With planning
+// disabled every step counts as a probe.
 func (c *Corpus) Strategies(q *Query) (probe, merge, twig, bitmap int, err error) {
 	if err := c.Build(); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	plan := c.eng.Plan(q.path)
+	plan := c.plan(q)
 	if plan == nil {
 		for p := q.path; p != nil; p = p.Scoped {
 			probe += len(p.Steps)
@@ -696,144 +690,48 @@ func (c *Corpus) CountParallelContext(ctx context.Context, q *Query) (int, error
 	return engine.CountParallel(ctx, c.shards, q.path, engine.WithWorkers(c.numWorkers()))
 }
 
-// SelectBatch evaluates the queries as one batch in a single shared pass:
-// the engine memoizes whole-query results, main-path step frontiers and
-// predicate satisfier sets by canonical structural key across the batch
-// (docs/EXECUTION.md, "Batched evaluation"), so overlapping queries —
-// duplicates, shared step prefixes, shared filters — amortize the corpus
-// scans they have in common. Results and errors are positional: slot i is
-// element-wise identical to Select(qs[i]), error included, and a failing
-// query never disturbs its batch mates.
-func (c *Corpus) SelectBatch(qs []*Query) ([][]Match, []error) {
-	return c.SelectBatchContext(context.Background(), qs)
-}
-
-// SelectBatchContext is SelectBatch honoring a context: once the context is
-// done, the queries it interrupted report its error.
-func (c *Corpus) SelectBatchContext(ctx context.Context, qs []*Query) ([][]Match, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return c.eng.EvalBatchContext(ctx, batchPaths(qs))
-}
-
-// SelectBatchStats is SelectBatch additionally reporting the cross-query
-// memo hit rates the batch achieved.
-func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, []error, engine.BatchStats) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err), engine.BatchStats{}
-	}
-	return c.eng.EvalBatchStats(ctx, batchPaths(qs), nil)
-}
-
-// CountBatch counts each query's matches in one shared batch pass; slot i
-// always equals Count(qs[i]).
-func (c *Corpus) CountBatch(qs []*Query) ([]int, []error) {
-	return c.CountBatchContext(context.Background(), qs)
-}
-
-// CountBatchContext is CountBatch honoring a context.
-func (c *Corpus) CountBatchContext(ctx context.Context, qs []*Query) ([]int, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return c.eng.CountBatch(ctx, batchPaths(qs))
-}
-
-// SelectBatchParallel is SelectBatch over the tree-ID shards: shards are the
-// unit of work, every shard visit evaluates all queries of the batch under
-// one per-shard memo, and each query's per-shard results merge back into
-// global (tree, document) order. Slot i is identical to SelectParallel's —
-// and Select's — result for qs[i], deterministically.
-func (c *Corpus) SelectBatchParallel(qs []*Query) ([][]Match, []error) {
-	return c.SelectBatchParallelContext(context.Background(), qs)
-}
-
-// SelectBatchParallelContext is SelectBatchParallel honoring a context.
-func (c *Corpus) SelectBatchParallelContext(ctx context.Context, qs []*Query) ([][]Match, []error) {
-	if err := c.buildShards(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return engine.EvalBatchParallel(ctx, c.shards, batchPaths(qs), engine.WithWorkers(c.numWorkers()))
-}
-
-func batchPaths(qs []*Query) []*ast.Path {
-	paths := make([]*ast.Path, len(qs))
-	for i, q := range qs {
-		paths[i] = q.path
-	}
-	return paths
-}
-
-// batchErrs fans one setup failure (a corpus build error) out to every slot
-// of a batch.
-func batchErrs(n int, err error) []error {
-	errs := make([]error, n)
-	for i := range errs {
-		errs[i] = err
-	}
-	return errs
-}
-
-// SelectBatchText is SelectBatch on raw query texts, each resolved through
-// the plan cache (see WithPlanCache): the repeated-traffic batch entry
-// point. A text that fails to compile occupies its slot with that error.
-func (c *Corpus) SelectBatchText(texts []string) ([][]Match, []error) {
-	return c.SelectBatchLimitTextContext(context.Background(), texts, nil)
-}
-
-// SelectBatchLimitTextContext is SelectBatchText honoring a context and an
-// optional per-query result cap — the serving path lpathd's request
-// coalescer calls (docs/SERVER.md). limits may be nil (no caps); otherwise
-// it is parallel to texts, where a negative limit means unlimited and zero
-// yields an empty result. Capped slots are the exact prefix of the query's
-// full (tree, document)-ordered result.
-func (c *Corpus) SelectBatchLimitTextContext(ctx context.Context, texts []string, limits []int) ([][]Match, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(texts), err)
-	}
-	paths := make([]*ast.Path, len(texts))
-	plans := make([]*planner.Plan, len(texts))
-	errs := make([]error, len(texts))
-	for i, text := range texts {
-		if c.planCache == nil {
-			q, err := Compile(text)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			paths[i], plans[i] = q.path, c.eng.Plan(q.path)
-			continue
-		}
-		paths[i], plans[i], errs[i] = c.cachedPlan(text)
-	}
-	out, evalErrs, _ := c.eng.EvalBatchPlans(ctx, paths, plans, limits)
-	for i, err := range evalErrs {
-		if errs[i] == nil {
-			errs[i] = err
-		}
-	}
-	return out, errs
-}
-
-// CompileCached compiles a query through the corpus's plan cache (see
-// WithPlanCache), so repeated texts skip parsing and validation. Without a
-// configured cache it is plain Compile.
+// CompileCached compiles and plans a query through the corpus's plan cache
+// (see WithPlanCache), so a repeated text skips parsing, validation and
+// cost-based planning: one cache lookup resolves both. The returned Query
+// carries the executable plan for the corpus's current index, which
+// Select, Count, Explain and their variants on this corpus run without
+// replanning. Without a configured cache it is plain Compile.
 func (c *Corpus) CompileCached(text string) (*Query, error) {
 	if c.planCache == nil {
 		return Compile(text)
 	}
-	p, err := c.planCache.GetOrCompile(text, func(s string) (*ast.Path, error) {
-		q, err := Compile(s)
-		if err != nil {
-			return nil, err
-		}
-		return q.path, nil
-	})
+	if err := c.Build(); err != nil {
+		return nil, err
+	}
+	p, exec, err := c.planCache.GetOrPlan(text, c.gen,
+		func(s string) (*ast.Path, error) {
+			q, err := Compile(s)
+			if err != nil {
+				return nil, err
+			}
+			return q.path, nil
+		},
+		c.eng.Plan)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{text: text, path: p}, nil
+	return &Query{text: text, path: p, corpus: c, gen: c.gen, exec: exec}, nil
+}
+
+// planned reports whether q carries the executable plan for the corpus's
+// current index. The corpus must be built.
+func (c *Corpus) planned(q *Query) bool {
+	return q.corpus == c && q.gen == c.gen
+}
+
+// plan returns the executable plan for q on the built corpus: the one q
+// carries when CompileCached planned it for the current index, otherwise a
+// fresh plan (nil with planning disabled).
+func (c *Corpus) plan(q *Query) *planner.Plan {
+	if c.planned(q) {
+		return q.exec
+	}
+	return c.eng.Plan(q.path)
 }
 
 // SelectText compiles the query text via the plan cache and evaluates it —
@@ -845,24 +743,13 @@ func (c *Corpus) SelectText(text string) ([]Match, error) {
 }
 
 // SelectTextContext is SelectText honoring a context, with the same
-// cooperative cancellation guarantees as SelectContext — the serving path:
-// compile through the plan cache, evaluate under the request's deadline.
+// cooperative cancellation guarantees as SelectContext.
 func (c *Corpus) SelectTextContext(ctx context.Context, text string) ([]Match, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return nil, err
-		}
-		return c.SelectContext(ctx, q)
-	}
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	ast, exec, err := c.cachedPlan(text)
+	q, err := c.CompileCached(text)
 	if err != nil {
 		return nil, err
 	}
-	return c.eng.EvalPlanContext(ctx, ast, exec)
+	return c.SelectContext(ctx, q)
 }
 
 // SelectLimitText is SelectLimit on raw query text through the plan cache —
@@ -875,21 +762,11 @@ func (c *Corpus) SelectLimitText(text string, limit int) ([]Match, error) {
 // SelectLimitTextContext is SelectLimitText honoring a context, like
 // SelectTextContext.
 func (c *Corpus) SelectLimitTextContext(ctx context.Context, text string, limit int) ([]Match, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return nil, err
-		}
-		return c.SelectLimitContext(ctx, q, limit)
-	}
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	ast, exec, err := c.cachedPlan(text)
+	q, err := c.CompileCached(text)
 	if err != nil {
 		return nil, err
 	}
-	return c.eng.EvalPlanLimitContext(ctx, ast, exec, limit)
+	return c.SelectLimitContext(ctx, q, limit)
 }
 
 // CountText compiles via the plan cache and counts the matches with the
@@ -900,35 +777,11 @@ func (c *Corpus) CountText(text string) (int, error) {
 
 // CountTextContext is CountText honoring a context, like SelectTextContext.
 func (c *Corpus) CountTextContext(ctx context.Context, text string) (int, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return 0, err
-		}
-		return c.CountContext(ctx, q)
-	}
-	if err := c.Build(); err != nil {
-		return 0, err
-	}
-	ast, exec, err := c.cachedPlan(text)
+	q, err := c.CompileCached(text)
 	if err != nil {
 		return 0, err
 	}
-	return c.eng.CountPlanContext(ctx, ast, exec)
-}
-
-// cachedPlan resolves text → (AST, executable plan) through the plan cache
-// at the current store generation. The corpus must be built.
-func (c *Corpus) cachedPlan(text string) (*ast.Path, *planner.Plan, error) {
-	return c.planCache.GetOrPlan(text, c.gen,
-		func(s string) (*ast.Path, error) {
-			q, err := Compile(s)
-			if err != nil {
-				return nil, err
-			}
-			return q.path, nil
-		},
-		c.eng.Plan)
+	return c.CountContext(ctx, q)
 }
 
 // CacheStats reports plan-cache effectiveness; see Corpus.PlanCacheStats.

@@ -2,9 +2,12 @@ package lpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"lpath/internal/engine"
 )
 
 // axisPropertyQueries cover all eight horizontal axes (-> --> <- <-- => ==>
@@ -201,6 +204,40 @@ func TestSelectParallelConcurrentUse(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if err := <-done; err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestParallelShardPanicIsAnError: a panic inside one shard's evaluation
+// fails the parallel call with a *engine.ShardPanicError instead of killing
+// the process. The cancellation that the failure sends to the other shards
+// never masks it: every run reports the panicking shard.
+func TestParallelShardPanicIsAnError(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithShards(5), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.buildShards(); err != nil {
+		t.Fatal(err)
+	}
+	// A zero Engine has no evaluation-context pool, so evaluating on it
+	// panics inside the shard worker.
+	c.shards[2] = &engine.Engine{}
+	q := MustCompile(`//NP`)
+	for i := 0; i < 20; i++ {
+		for name, run := range map[string]func() error{
+			"SelectParallel":      func() error { _, err := c.SelectParallel(q); return err },
+			"SelectParallelLimit": func() error { _, err := c.SelectParallelLimit(q, 1<<20); return err },
+			"CountParallel":       func() error { _, err := c.CountParallel(q); return err },
+		} {
+			var pe *engine.ShardPanicError
+			if err := run(); !errors.As(err, &pe) {
+				t.Fatalf("%s: err = %v, want *engine.ShardPanicError", name, err)
+			}
+			if pe.Shard != 2 || pe.Value == nil || len(pe.Stack) == 0 {
+				t.Fatalf("%s: got shard %d value %v (%d stack bytes), want shard 2 with value and stack",
+					name, pe.Shard, pe.Value, len(pe.Stack))
+			}
 		}
 	}
 }

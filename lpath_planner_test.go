@@ -194,3 +194,110 @@ func TestExplainOnEvalMatrix(t *testing.T) {
 		t.Errorf("explain without planner: %v", err)
 	}
 }
+
+// TestExplainTextCachedPlanFreshActuals pins the EXPLAIN-through-cache
+// contract: repeated ExplainText renders the cached executable plan with
+// fresh actual-cardinality counters — byte-identical reports, no stale or
+// doubled actuals — and the repeats hit the plan cache rather than
+// replanning.
+func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithPlanCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text = `//VP{//NP$}`
+	first, err := c.ExplainText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first, "actual") {
+		t.Fatalf("EXPLAIN report carries no actuals:\n%s", first)
+	}
+	before := c.PlanCacheStats()
+	for i := 0; i < 3; i++ {
+		again, err := c.ExplainText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatalf("ExplainText drifted on repeat %d:\n--- first ---\n%s\n--- again ---\n%s", i+1, first, again)
+		}
+	}
+	after := c.PlanCacheStats()
+	if after.Hits <= before.Hits {
+		t.Errorf("repeated ExplainText did not hit the plan cache (hits %d -> %d)", before.Hits, after.Hits)
+	}
+	if after.Misses != before.Misses {
+		t.Errorf("repeated ExplainText re-missed the plan cache (misses %d -> %d)", before.Misses, after.Misses)
+	}
+
+	// The cached-plan report must agree with a from-scratch Explain of the
+	// same text (same plan, same fresh actuals).
+	fresh, err := c.Explain(MustCompile(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh != first {
+		t.Fatalf("cached-plan EXPLAIN differs from from-scratch EXPLAIN:\n--- cached ---\n%s\n--- fresh ---\n%s", first, fresh)
+	}
+}
+
+// TestCompileCachedPlanFollowsIndex pins the plan a CompileCached query
+// carries to the corpus and index it was planned for: after the corpus
+// rebuilds, and on another corpus, the query plans afresh: it answers and
+// explains exactly what a plainly compiled query does there.
+func TestCompileCachedPlanFollowsIndex(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithPlanCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := GenerateCorpus("wsj", 0.002, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text = `//NP[//NN]->VP`
+	q, err := c.CompileCached(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, c *Corpus) {
+		t.Helper()
+		want, err := c.Select(MustCompile(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesEqual(got, want) {
+			t.Errorf("%s: cached query gave %d matches, plain query %d", name, len(got), len(want))
+		}
+		n, err := c.Count(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) {
+			t.Errorf("%s: cached query counted %d, want %d", name, n, len(want))
+		}
+		// EXPLAIN prints the plan's estimates, which follow the index
+		// statistics: a stale plan would show the old index's estimates.
+		gotPlan, err := c.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPlan, err := c.Explain(MustCompile(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotPlan != wantPlan {
+			t.Errorf("%s: cached query explains\n%s\nwant\n%s", name, gotPlan, wantPlan)
+		}
+	}
+	check("same index", c)
+	if err := c.AddSentence("(S (NP (NP (NN dog)) (VP (VB ran))) (VP (VB sat)))"); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt index", c)
+	check("other corpus", other)
+}
