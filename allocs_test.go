@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// allocBudgets caps warm steady-state allocations per CountText evaluation
+// allocBudgets caps warm steady-state allocations per cached Count evaluation
 // for every query of the evaluation matrix at scale 0.01. Budgets are ~2x the
 // measured steady state (minimum 64, to absorb incidental per-group sorting
 // and map growth), so a regression that reintroduces per-binding or per-row
@@ -30,9 +30,9 @@ var bitmapAllocBudgets = map[int]int{
 // TestStepEvaluationAllocBudget pins the steady-state allocation behavior of
 // the executors across the full 23-query evaluation matrix: with a warm plan
 // cache and grown scratch arenas, evaluation must not allocate per binding or
-// per row. Before the columnar merge executor and the arena-pooled evaluation
-// context, one warm CountText of Q10 allocated ~58k objects; today the twig
-// and merge pipelines hold nearly every query to double-digit allocations
+// per row. Before the columnar store and the arena-pooled evaluation context,
+// one warm cached Count of Q10 allocated ~58k objects; today the probe and
+// twig pipelines hold nearly every query to double-digit allocations
 // (Q4's budget reflects its per-group trailing-context materialization, the
 // one remaining per-group cost).
 func TestStepEvaluationAllocBudget(t *testing.T) {
@@ -60,17 +60,17 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 					t.Fatalf("Q%d: no allocation budget defined", eq.ID)
 				}
 				t.Run(fmt.Sprintf("Q%d", eq.ID), func(t *testing.T) {
-					if _, err := c.CountText(eq.Text); err != nil { // warm: compile, cache, size arenas
+					if _, err := countCached(c, eq.Text); err != nil { // warm: compile, cache, size arenas
 						t.Fatal(err)
 					}
 					allocs := testing.AllocsPerRun(20, func() {
-						if _, err := c.CountText(eq.Text); err != nil {
+						if _, err := countCached(c, eq.Text); err != nil {
 							t.Fatal(err)
 						}
 					})
-					t.Logf("warm CountText(Q%d) = %.0f allocs/op (budget %d)", eq.ID, allocs, budget)
+					t.Logf("warm cached Count(Q%d) = %.0f allocs/op (budget %d)", eq.ID, allocs, budget)
 					if allocs > float64(budget) {
-						t.Errorf("warm CountText(Q%d) = %.0f allocs/op, budget %d", eq.ID, allocs, budget)
+						t.Errorf("warm cached Count(Q%d) = %.0f allocs/op, budget %d", eq.ID, allocs, budget)
 					}
 				})
 			}

@@ -9,8 +9,7 @@
 // Figures: 6a (dataset characteristics), 6b (tag frequencies), 6c (query
 // result sizes), 7 (WSJ query times), 8 (SWB query times), 9 (scalability),
 // 10 (labeling-scheme comparison), ablations, planner (cost-based planner
-// on/off), exec (set-at-a-time merge executor on/off with allocation
-// counts), twig (holistic twig executor on/off with allocation counts),
+// on/off), twig (holistic twig executor on/off with allocation counts),
 // bitmap (dense-bitset filter kernels on/off with allocation counts),
 // limit (streaming early termination at limits 1/10/100 vs full
 // evaluation), par (parallel sharded execution scaling), snapshot (binary
@@ -19,10 +18,10 @@
 // -scale sets the fraction of the paper's corpus size (1.0 ≈ 49k WSJ
 // sentences / 3.5M nodes; the default 0.05 keeps a full run under a couple
 // of minutes). With -csv DIR each timing figure is also written as CSV.
-// With -json DIR the planner, exec, twig, bitmap, limit and par
-// experiments additionally write the machine-readable BENCH_planner.json,
-// BENCH_executor.json, BENCH_twig.json, BENCH_bitmap.json,
-// BENCH_limit.json and BENCH_parallel.json (the CI bench artifacts).
+// With -json DIR the planner, twig, bitmap, limit and par experiments
+// additionally write the machine-readable BENCH_planner.json,
+// BENCH_twig.json, BENCH_bitmap.json, BENCH_limit.json and
+// BENCH_parallel.json (the CI bench artifacts).
 // -workers caps the worker sweep of the parallel experiment (default:
 // GOMAXPROCS); the sweep measures 1, 2, 4, ... up to the cap.
 // -cpuprofile/-memprofile write pprof profiles covering the selected
@@ -46,7 +45,7 @@ import (
 )
 
 // figures lists the valid -fig names.
-var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "planner", "exec", "twig", "bitmap", "limit", "par", "snapshot", "all"}
+var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "planner", "twig", "bitmap", "limit", "par", "snapshot", "all"}
 
 func main() {
 	var (
@@ -54,7 +53,7 @@ func main() {
 		scale      = flag.Float64("scale", 0.05, "corpus scale (1.0 = paper size)")
 		seed       = flag.Int64("seed", 42, "corpus seed")
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
-		jsonDir    = flag.String("json", "", "directory for BENCH_*.json artifacts (planner, exec, twig, bitmap, par)")
+		jsonDir    = flag.String("json", "", "directory for BENCH_*.json artifacts (planner, twig, bitmap, limit, par)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "max workers for the parallel experiment")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -188,14 +187,6 @@ func main() {
 		bench.WritePlannerImpact(os.Stdout, rows)
 		writeCSV(*csvDir, "planner_impact.csv", bench.CSVPlannerImpact(rows))
 		writeJSON(*jsonDir, "BENCH_planner.json", func() ([]byte, error) { return bench.JSONPlannerImpact(rows) })
-		fmt.Println()
-	}
-	if need("exec") {
-		rows, err := bench.ExecutorImpact(buildWSJ())
-		check(err)
-		bench.WriteExecutorImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "executor_impact.csv", bench.CSVExecutorImpact(rows))
-		writeJSON(*jsonDir, "BENCH_executor.json", func() ([]byte, error) { return bench.JSONExecutorImpact(rows) })
 		fmt.Println()
 	}
 	if need("twig") {

@@ -68,26 +68,20 @@ func FuzzEvalOracle(f *testing.F) {
 		parLimited, parLimitedErr := c.SelectParallelLimit(q, limit)
 
 		// Executor rotation: force the holistic twig sweep on every maximal
-		// run, then disable it; then force the set-at-a-time merge executor on
-		// every eligible step, then disable it (the merge rotations run with
-		// the twig executor off, pinning the per-step pipeline on its own).
-		// All must agree with the planner-chosen mix.
+		// run, then disable it. All must agree with the planner-chosen mix.
 		c.Configure(withTwigAlways())
 		twigged, twiggedErr := c.Select(q)
 		c.Configure(WithoutTwigExecutor())
 		untwigged, untwiggedErr := c.Select(q)
-		c.Configure(withMergeAlways())
-		merged, mergedErr := c.Select(q)
-		c.Configure(WithoutMergeExecutor())
-		probed, probedErr := c.Select(q)
 
-		// Bitmap rotation: force the dense-bitset kernels onto every eligible
-		// scope entry and satisfier set, then disable them entirely (per-scope
-		// expansion and map-backed satisfier sets, the pre-bitmap engine).
+		// Bitmap rotation, with the twig executor still off: force the
+		// dense-bitset kernels onto every eligible scope entry and satisfier
+		// set, then disable them too. That last leg is the pure-probe
+		// reference: every step runs through the per-binding probe executor.
 		c.Configure(withBitmapAlways())
 		bitmapped, bitmappedErr := c.Select(q)
 		c.Configure(WithoutBitmapExecutor())
-		unbitmapped, unbitmappedErr := c.Select(q)
+		probed, probedErr := c.Select(q)
 
 		c.Configure(WithoutPlanner())
 		unplanned, unplannedErr := c.Select(q)
@@ -101,17 +95,13 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: select err %v, count err %v, parallel errs %v/%v",
 				query, plannedErr, plannedCountErr, parErr, parCountErr)
 		}
-		if (plannedErr != nil) != (mergedErr != nil) || (plannedErr != nil) != (probedErr != nil) {
-			t.Fatalf("%q: planned err %v, merge-always err %v, probe-only err %v",
-				query, plannedErr, mergedErr, probedErr)
-		}
 		if (plannedErr != nil) != (twiggedErr != nil) || (plannedErr != nil) != (untwiggedErr != nil) {
 			t.Fatalf("%q: planned err %v, twig-always err %v, twig-off err %v",
 				query, plannedErr, twiggedErr, untwiggedErr)
 		}
-		if (plannedErr != nil) != (bitmappedErr != nil) || (plannedErr != nil) != (unbitmappedErr != nil) {
-			t.Fatalf("%q: planned err %v, bitmap-always err %v, bitmap-off err %v",
-				query, plannedErr, bitmappedErr, unbitmappedErr)
+		if (plannedErr != nil) != (bitmappedErr != nil) || (plannedErr != nil) != (probedErr != nil) {
+			t.Fatalf("%q: planned err %v, bitmap-always err %v, probe-only err %v",
+				query, plannedErr, bitmappedErr, probedErr)
 		}
 		if plannedErr != nil {
 			return // all evaluators agree the query errors on this corpus
@@ -119,10 +109,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(planned, unplanned) {
 			t.Fatalf("%q: planned %d matches, unplanned %d — or order differs\nplanned:   %v\nunplanned: %v",
 				query, len(planned), len(unplanned), matchKeys(planned), matchKeys(unplanned))
-		}
-		if !reflect.DeepEqual(planned, merged) {
-			t.Fatalf("%q: merge-always differs from planned (%d vs %d matches)\nmerged: %v\nplanned: %v",
-				query, len(merged), len(planned), matchKeys(merged), matchKeys(planned))
 		}
 		if !reflect.DeepEqual(planned, probed) {
 			t.Fatalf("%q: probe-only differs from planned (%d vs %d matches)\nprobed: %v\nplanned: %v",
@@ -139,10 +125,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(planned, bitmapped) {
 			t.Fatalf("%q: bitmap-always differs from planned (%d vs %d matches)\nbitmapped: %v\nplanned: %v",
 				query, len(bitmapped), len(planned), matchKeys(bitmapped), matchKeys(planned))
-		}
-		if !reflect.DeepEqual(planned, unbitmapped) {
-			t.Fatalf("%q: bitmap-off differs from planned (%d vs %d matches)\nunbitmapped: %v\nplanned: %v",
-				query, len(unbitmapped), len(planned), matchKeys(unbitmapped), matchKeys(planned))
 		}
 		if !reflect.DeepEqual(planned, par) {
 			t.Fatalf("%q: parallel differs from serial (%d vs %d matches)",

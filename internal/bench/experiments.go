@@ -314,29 +314,6 @@ func PlannerImpact(s *Systems) ([]PlannerRow, error) {
 	return out, nil
 }
 
-// ExecRow is one query's measurement of the set-at-a-time merge executor:
-// the full engine (the planner picks probe or merge per step) against the
-// probe-only ablation, plus the steady-state heap allocations of one warm
-// evaluation under each executor.
-type ExecRow struct {
-	ID          int
-	Query       string
-	Merge       time.Duration // full engine, merge executor available
-	Probe       time.Duration // probe-only ablation
-	AllocsMerge float64       // allocations per warm evaluation, full engine
-	AllocsProbe float64       // allocations per warm evaluation, probe-only
-	N           int           // result size (identical by construction; verified)
-	Strategy    string        // per-step strategy counts from the plan
-}
-
-// Speedup is the probe/merge time ratio (>1 = the merge executor helps).
-func (r ExecRow) Speedup() float64 {
-	if r.Merge <= 0 {
-		return 0
-	}
-	return float64(r.Probe) / float64(r.Merge)
-}
-
 // allocsPerRun reports the steady-state heap allocations of one call to f,
 // averaged over several runs after a warm-up call (which populates the plan
 // cache and grows the evaluator's scratch arenas to their working size).
@@ -360,7 +337,7 @@ func planStrategies(pl *planner.Plan) string {
 	if pl == nil || pl.Root == nil {
 		return "probe:all"
 	}
-	var twig, merge, probe, bitmap int
+	var twig, probe, bitmap int
 	var walk func(pp *planner.PathPlan)
 	walk = func(pp *planner.PathPlan) {
 		if pp == nil {
@@ -370,8 +347,6 @@ func planStrategies(pl *planner.Plan) string {
 			switch sp.Strategy {
 			case planner.StrategyTwig:
 				twig++
-			case planner.StrategyMerge:
-				merge++
 			case planner.StrategyBitmap:
 				bitmap++
 			default:
@@ -386,61 +361,19 @@ func planStrategies(pl *planner.Plan) string {
 		walk(pp.Scoped)
 	}
 	walk(pl.Root)
-	return fmt.Sprintf("twig:%d merge:%d probe:%d bitmap:%d", twig, merge, probe, bitmap)
-}
-
-// ExecutorImpact measures every evaluation query with the merge executor on
-// and off over the same store, verifying result identity as it goes, and
-// records steady-state allocations per evaluation under both executors —
-// the set-at-a-time executor's before/after benchmark.
-func ExecutorImpact(s *Systems) ([]ExecRow, error) {
-	var out []ExecRow
-	for _, id := range s.QueryIDs() {
-		row := ExecRow{ID: id, Query: s.QueryText(id)}
-		var nMerge, nProbe int
-		var err error
-		row.Merge = TimeIt(func() {
-			var e error
-			nMerge, e = s.RunLPath(id)
-			if e != nil {
-				err = e
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("Q%d merge: %w", id, err)
-		}
-		row.Probe = TimeIt(func() {
-			var e error
-			nProbe, e = s.RunLPathNoMerge(id)
-			if e != nil {
-				err = e
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("Q%d probe: %w", id, err)
-		}
-		if nMerge != nProbe {
-			return nil, fmt.Errorf("Q%d: merge executor changed the result: %d vs %d", id, nMerge, nProbe)
-		}
-		row.N = nMerge
-		row.AllocsMerge = allocsPerRun(func() { _, _ = s.RunLPath(id) })
-		row.AllocsProbe = allocsPerRun(func() { _, _ = s.RunLPathNoMerge(id) })
-		row.Strategy = planStrategies(s.LPath.Plan(s.lpathQ[id]))
-		out = append(out, row)
-	}
-	return out, nil
+	return fmt.Sprintf("twig:%d probe:%d bitmap:%d", twig, probe, bitmap)
 }
 
 // TwigRow is one query's measurement of the holistic twig executor: the
 // full engine (the planner folds eligible runs into one synchronized
 // multi-cursor sweep) against the twig-off ablation (the same planner
-// restricted to per-step probe/merge execution), plus the steady-state heap
+// restricted to per-step execution), plus the steady-state heap
 // allocations of one warm evaluation under each.
 type TwigRow struct {
 	ID           int
 	Query        string
 	Twig         time.Duration // full engine, twig executor available
-	NoTwig       time.Duration // twig-off ablation (probe/merge per step)
+	NoTwig       time.Duration // twig-off ablation (per-step execution)
 	AllocsTwig   float64       // allocations per warm evaluation, full engine
 	AllocsNoTwig float64       // allocations per warm evaluation, twig off
 	N            int           // result size (identical by construction; verified)
@@ -457,8 +390,8 @@ func (r TwigRow) Speedup() float64 {
 
 // TwigImpact measures every evaluation query with the holistic twig
 // executor on and off over the same store. Result identity is checked four
-// ways per query — planner-chosen, twig-off, probe-only, twig-forced and
-// merge-forced all have to agree — before the timings are trusted.
+// ways per query — planner-chosen, twig-off, probe-only and twig-forced all
+// have to agree — before the timings are trusted.
 func TwigImpact(s *Systems) ([]TwigRow, error) {
 	var out []TwigRow
 	for _, id := range s.QueryIDs() {
@@ -489,9 +422,8 @@ func TwigImpact(s *Systems) ([]TwigRow, error) {
 			return nil, fmt.Errorf("Q%d: twig executor changed the result: %d vs %d", id, nTwig, nNoTwig)
 		}
 		for name, run := range map[string]func(int) (int, error){
-			"probe-only":   s.RunLPathNoMerge,
-			"twig-forced":  s.RunLPathTwigForced,
-			"merge-forced": s.RunLPathMergeForced,
+			"probe-only":  s.RunLPathProbeOnly,
+			"twig-forced": s.RunLPathTwigForced,
 		} {
 			n, e := run(id)
 			if e != nil {
@@ -536,8 +468,8 @@ func (r BitmapRow) Speedup() float64 {
 
 // BitmapImpact measures every evaluation query with the dense-bitset kernels
 // on and off over the same store. Result identity is checked five ways per
-// query — planner-chosen, bitmap-off, probe-only, bitmap-forced, twig-forced
-// and merge-forced all have to agree — before the timings are trusted.
+// query — planner-chosen, bitmap-off, probe-only, bitmap-forced and
+// twig-forced all have to agree — before the timings are trusted.
 func BitmapImpact(s *Systems) ([]BitmapRow, error) {
 	var out []BitmapRow
 	for _, id := range s.QueryIDs() {
@@ -568,10 +500,9 @@ func BitmapImpact(s *Systems) ([]BitmapRow, error) {
 			return nil, fmt.Errorf("Q%d: bitmap kernels changed the result: %d vs %d", id, nBmp, nNoBmp)
 		}
 		for name, run := range map[string]func(int) (int, error){
-			"probe-only":    s.RunLPathNoMerge,
+			"probe-only":    s.RunLPathProbeOnly,
 			"bitmap-forced": s.RunLPathBitmapForced,
 			"twig-forced":   s.RunLPathTwigForced,
-			"merge-forced":  s.RunLPathMergeForced,
 		} {
 			n, e := run(id)
 			if e != nil {

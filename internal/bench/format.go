@@ -134,67 +134,9 @@ func CSVPlannerImpact(rows []PlannerRow) string {
 	return b.String()
 }
 
-// WriteExecutorImpact renders the merge-executor before/after measurements.
-func WriteExecutorImpact(w io.Writer, rows []ExecRow) {
-	fmt.Fprintf(w, "Executor impact: set-at-a-time merge vs per-binding probe (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %12s %12s %9s   %s\n",
-		"Q", "Query", "merge", "probe", "speedup", "allocs(m)", "allocs(p)", "matches", "strategy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s %10s %8.2fx %12.0f %12.0f %9d   %s\n",
-			r.ID, r.Query, secs(r.Merge), secs(r.Probe), r.Speedup(),
-			r.AllocsMerge, r.AllocsProbe, r.N, r.Strategy)
-	}
-}
-
-// CSVExecutorImpact renders the merge-executor rows as CSV.
-func CSVExecutorImpact(rows []ExecRow) string {
-	var b strings.Builder
-	b.WriteString("query,merge_s,probe_s,speedup,allocs_merge,allocs_probe,matches,strategy\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f,%f,%f,%.0f,%.0f,%d,%s\n",
-			r.ID, r.Merge.Seconds(), r.Probe.Seconds(), r.Speedup(),
-			r.AllocsMerge, r.AllocsProbe, r.N, r.Strategy)
-	}
-	return b.String()
-}
-
-// execJSONRow is the machine-readable shape of one ExecRow, mirroring the
-// testing-package convention of ns/op and allocs/op.
-type execJSONRow struct {
-	Query       int     `json:"query"`
-	Text        string  `json:"text"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerOpOff  int64   `json:"ns_per_op_probe"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	AllocsOff   float64 `json:"allocs_per_op_probe"`
-	Speedup     float64 `json:"speedup"`
-	Matches     int     `json:"matches"`
-	Strategy    string  `json:"strategy"`
-}
-
-// JSONExecutorImpact renders the merge-executor rows as indented JSON, the
-// payload of the BENCH_executor.json CI artifact.
-func JSONExecutorImpact(rows []ExecRow) ([]byte, error) {
-	out := make([]execJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, execJSONRow{
-			Query:       r.ID,
-			Text:        r.Query,
-			NsPerOp:     r.Merge.Nanoseconds(),
-			NsPerOpOff:  r.Probe.Nanoseconds(),
-			AllocsPerOp: r.AllocsMerge,
-			AllocsOff:   r.AllocsProbe,
-			Speedup:     r.Speedup(),
-			Matches:     r.N,
-			Strategy:    r.Strategy,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
 // WriteTwigImpact renders the twig-executor before/after measurements.
 func WriteTwigImpact(w io.Writer, rows []TwigRow) {
-	fmt.Fprintf(w, "Twig impact: holistic twig sweep vs per-step probe/merge (s)\n")
+	fmt.Fprintf(w, "Twig impact: holistic twig sweep vs per-step execution (s)\n")
 	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %12s %12s %9s   %s\n",
 		"Q", "Query", "twig", "no-twig", "speedup", "allocs(t)", "allocs(n)", "matches", "strategy")
 	for _, r := range rows {

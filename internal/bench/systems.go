@@ -26,18 +26,17 @@ import (
 type Systems struct {
 	Trees *tree.Corpus
 
-	LPath        *engine.Engine
-	LPathNoVal   *engine.Engine // value-index ablation
-	LPathNoPlan  *engine.Engine // cost-based-planner ablation
-	LPathNoMerge *engine.Engine // merge-executor ablation (probe-only)
-	LPathNoTwig  *engine.Engine // twig-executor ablation (probe/merge only)
-	LPathTwig    *engine.Engine // twig forced on every eligible run
-	LPathMerge   *engine.Engine // merge forced on every mergeable step
-	LPathNoBmp   *engine.Engine // bitmap-kernel ablation (pre-bitmap engine)
-	LPathBmp     *engine.Engine // bitmap forced on every eligible scope entry
-	XPath        *xpath.Engine
-	TGrep        *tgrep.Corpus
-	CS           *corpussearch.Corpus
+	LPath       *engine.Engine
+	LPathNoVal  *engine.Engine // value-index ablation
+	LPathNoPlan *engine.Engine // cost-based-planner ablation
+	LPathProbe  *engine.Engine // probe only: twig and bitmap both off
+	LPathNoTwig *engine.Engine // twig-executor ablation
+	LPathTwig   *engine.Engine // twig forced on every eligible run
+	LPathNoBmp  *engine.Engine // bitmap-kernel ablation (pre-bitmap engine)
+	LPathBmp    *engine.Engine // bitmap forced on every eligible scope entry
+	XPath       *xpath.Engine
+	TGrep       *tgrep.Corpus
+	CS          *corpussearch.Corpus
 
 	Store *relstore.Store // the interval-label store behind LPath
 
@@ -68,16 +67,13 @@ func BuildSystems(c *tree.Corpus) (*Systems, error) {
 	if s.LPathNoPlan, err = engine.New(s.Store, engine.WithoutPlanner()); err != nil {
 		return nil, err
 	}
-	if s.LPathNoMerge, err = engine.New(s.Store, engine.WithoutMerge()); err != nil {
+	if s.LPathProbe, err = engine.New(s.Store, engine.WithoutTwig(), engine.WithoutBitmap()); err != nil {
 		return nil, err
 	}
 	if s.LPathNoTwig, err = engine.New(s.Store, engine.WithoutTwig()); err != nil {
 		return nil, err
 	}
 	if s.LPathTwig, err = engine.New(s.Store, engine.WithTwigAlways()); err != nil {
-		return nil, err
-	}
-	if s.LPathMerge, err = engine.New(s.Store, engine.WithMergeAlways()); err != nil {
 		return nil, err
 	}
 	if s.LPathNoBmp, err = engine.New(s.Store, engine.WithoutBitmap()); err != nil {
@@ -159,14 +155,14 @@ func (s *Systems) RunLPathNoPlanner(id int) (int, error) {
 	return s.LPathNoPlan.Count(s.lpathQ[id])
 }
 
-// RunLPathNoMerge evaluates query id with the merge executor disabled
-// (every step falls back to per-binding probes).
-func (s *Systems) RunLPathNoMerge(id int) (int, error) {
-	return s.LPathNoMerge.Count(s.lpathQ[id])
+// RunLPathProbeOnly evaluates query id with twig and bitmap both disabled,
+// so every step runs through the per-binding probe executor.
+func (s *Systems) RunLPathProbeOnly(id int) (int, error) {
+	return s.LPathProbe.Count(s.lpathQ[id])
 }
 
 // RunLPathNoTwig evaluates query id with the holistic twig executor
-// disabled (steps run per-step under probe or merge).
+// disabled (steps run per-step, bitmap entries included).
 func (s *Systems) RunLPathNoTwig(id int) (int, error) {
 	return s.LPathNoTwig.Count(s.lpathQ[id])
 }
@@ -175,12 +171,6 @@ func (s *Systems) RunLPathNoTwig(id int) (int, error) {
 // every eligible step run, overriding the planner's cost decision.
 func (s *Systems) RunLPathTwigForced(id int) (int, error) {
 	return s.LPathTwig.Count(s.lpathQ[id])
-}
-
-// RunLPathMergeForced evaluates query id with the merge executor forced
-// onto every mergeable step (twig suppressed).
-func (s *Systems) RunLPathMergeForced(id int) (int, error) {
-	return s.LPathMerge.Count(s.lpathQ[id])
 }
 
 // RunLPathNoBitmap evaluates query id with the dense-bitset kernels

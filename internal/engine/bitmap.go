@@ -34,8 +34,8 @@ import (
 
 // useBitmapEntry decides whether a subtree-scoped tail enters through the
 // bitmap kernel. Under bitmapAuto the plan's cost-marked entry decides —
-// except when a forced merge or twig mode is measuring a specific executor
-// the kernel would shadow. bitmapAlways forces every shape-eligible entry.
+// except when the forced twig mode is measuring the sweep the kernel would
+// shadow. bitmapAlways forces every shape-eligible entry.
 func (e *Engine) useBitmapEntry(tail *lpath.Path, ctx *evalCtx) bool {
 	if e.bitmap == bitmapOff || len(tail.Steps) == 0 {
 		return false
@@ -47,7 +47,7 @@ func (e *Engine) useBitmapEntry(tail *lpath.Path, ctx *evalCtx) bool {
 	if e.bitmap == bitmapAlways {
 		return true
 	}
-	if e.exec == execAlways || e.twig == twigAlways {
+	if e.twig == twigAlways {
 		return false
 	}
 	sp := ctx.stepPlan(step)

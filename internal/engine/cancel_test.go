@@ -63,8 +63,7 @@ func cancelEngine(t testing.TB, tc *tree.Corpus, opts ...Option) *Engine {
 
 // TestCancelMidSweepPerStrategy proves that SelectContext-style evaluation
 // returns promptly with context.Canceled from inside each executor's sweep:
-// the per-binding probe loop, the merge group sweep with its predicate
-// pipeline, and the holistic twig arrival loop.
+// the per-binding probe loop and the holistic twig arrival loop.
 func TestCancelMidSweepPerStrategy(t *testing.T) {
 	tc := cancelCorpus(t)
 	cases := []struct {
@@ -76,7 +75,6 @@ func TestCancelMidSweepPerStrategy(t *testing.T) {
 		sweepPolls int64
 	}{
 		{"probe", []Option{WithoutPlanner()}, `//_[//_[//NP]]`, 1},
-		{"merge", []Option{WithoutPlanner(), WithMergeAlways()}, `//_[//_[//NP]]`, 1},
 		{"twig", []Option{WithoutPlanner(), WithTwigAlways()}, `//_//_//_`, 1},
 	}
 	for _, tt := range cases {

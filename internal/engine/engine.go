@@ -27,23 +27,9 @@ import (
 	"lpath/internal/tree"
 )
 
-// execMode selects how axis steps are executed (docs/EXECUTION.md).
-type execMode int
-
-const (
-	// execAuto follows the plan's per-step strategy (probe without a plan).
-	execAuto execMode = iota
-	// execProbe forces per-binding probes everywhere (merge ablation).
-	execProbe
-	// execAlways forces the merge executor on every eligible step,
-	// bypassing the cost decision; differential tests and fuzzers use it to
-	// keep the merge path under continuous cross-checking.
-	execAlways
-)
-
 // twigMode selects whether runs of consecutive steps may execute as one
-// holistic twig sweep (twig.go); it is orthogonal to execMode, which picks
-// the per-step executor for everything outside a twig run.
+// holistic twig sweep (twig.go); every step outside a twig run executes
+// through the per-binding probe executor.
 type twigMode int
 
 const (
@@ -59,7 +45,7 @@ const (
 
 // bitmapMode selects whether dense-bitset kernels may execute subtree-scope
 // entries and materialize semijoin satisfier sets (bitmap.go); it is
-// orthogonal to execMode and twigMode, which govern the remaining steps.
+// orthogonal to twigMode.
 type bitmapMode int
 
 const (
@@ -88,8 +74,6 @@ type Engine struct {
 	// reordering, no semijoins, the hardcoded value-index threshold); the
 	// differential tests hold the two paths result-identical.
 	noPlanner bool
-	// exec selects the step execution strategy (probe vs merge).
-	exec execMode
 	// twig selects whether step runs may execute as holistic twig sweeps.
 	twig twigMode
 	// bitmap selects whether the dense-bitset kernels are available.
@@ -117,24 +101,8 @@ func WithoutPlanner() Option {
 	return func(e *Engine) { e.noPlanner = true }
 }
 
-// WithoutMerge disables the set-at-a-time merge executor, so every step runs
-// per-binding probes regardless of the plan. Used by the executor ablation
-// benchmarks and differential tests.
-func WithoutMerge() Option {
-	return func(e *Engine) { e.exec = execProbe }
-}
-
-// WithMergeAlways forces the merge executor on every eligible step,
-// bypassing the planner's cost decision. The merge and probe executors are
-// result-identical by construction; this option keeps the merge path under
-// continuous differential testing even on inputs where the planner would
-// choose probes.
-func WithMergeAlways() Option {
-	return func(e *Engine) { e.exec = execAlways }
-}
-
 // WithoutTwig disables the holistic twig executor, so every step runs
-// through the per-step probe/merge dispatch. Used by the executor ablation
+// through the per-binding probe executor. Used by the executor ablation
 // benchmarks and differential tests.
 func WithoutTwig() Option {
 	return func(e *Engine) { e.twig = twigOff }
@@ -142,7 +110,7 @@ func WithoutTwig() Option {
 
 // WithTwigAlways runs every maximal twig-able run through the holistic
 // sweep, bypassing the planner's cost decision. The twig executor is
-// result-identical to the per-step executors by construction; this option
+// result-identical to the probe executor by construction; this option
 // keeps the sweep under continuous differential testing even on inputs
 // where the planner would never choose it.
 func WithTwigAlways() Option {
@@ -181,9 +149,8 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 	}
 	if e.twig == twigOff {
 		// The twig ablation must execute the pre-twig plan: without this the
-		// planner would still mark runs whose steps then fall back to probe
-		// (the merge executor only accepts steps marked StrategyMerge),
-		// which is neither the twig engine nor the pre-twig one.
+		// planner would still mark runs (and EXPLAIN would still report
+		// exec=twig) whose steps then run as probes.
 		popts = append(popts, planner.WithoutTwig())
 	}
 	if e.bitmap == bitmapOff {
@@ -418,8 +385,8 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 		var next []bind
 		var err error
 		// A cost-marked (or, under WithTwigAlways, maximal) run of twig-able
-		// steps evaluates as one holistic sweep; everything else dispatches
-		// per step between the probe and merge executors.
+		// steps evaluates as one holistic sweep; every other step runs
+		// through the per-binding probe executor.
 		if n := e.twigRunLen(p, i, cur, ctx); n > 0 {
 			next = e.evalTwigRun(p.Steps[i:i+n], cur, ctx)
 			// The twig sweep's signature carries no error; a cancelled sweep
@@ -481,9 +448,9 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 	return cur, nil
 }
 
-// evalStep performs one join step, dispatching between the per-binding
-// probe executor and the set-at-a-time merge executor (merge.go) according
-// to the plan's strategy (or the engine's forced execution mode).
+// evalStep performs one join step with the per-binding probe executor: for
+// every context binding, probe the store for candidate rows on the axis, then
+// filter by scope, alignment and predicates.
 func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind, error) {
 	if step.Axis == lpath.AxisAttribute {
 		return nil, lpath.ErrAttrInMainPath
@@ -498,45 +465,6 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 	if sp != nil && sp.Reordered {
 		preds = sp.PredExprs()
 	}
-	if e.mergeStep(step, sp, positional, binds) {
-		return e.evalStepMerge(step, sp, preds, binds, ctx)
-	}
-	return e.evalStepProbe(step, sp, preds, positional, binds, ctx)
-}
-
-// mergeStep decides whether the step runs set-at-a-time: the axis must have
-// a merge implementation, the candidate set must be a pure function of
-// (context, scope) — no positional predicates, no edge alignment — and the
-// frontier must hold real rows (the virtual root's probe is already a single
-// range handover). Under execAuto the plan's cost-based choice decides;
-// execAlways forces merge for differential coverage.
-func (e *Engine) mergeStep(step *lpath.Step, sp *planner.StepPlan, positional bool, binds []bind) bool {
-	if e.exec == execProbe || positional || step.LeftAlign || step.RightAlign {
-		return false
-	}
-	if !planner.MergeableAxis(step.Axis) {
-		return false
-	}
-	if len(binds) == 1 && binds[0].row == noRow {
-		return false
-	}
-	if e.exec == execAlways {
-		return true
-	}
-	// A one-binding frontier gains nothing from set-at-a-time execution (and
-	// a child merge would walk the whole posting list for it): nested
-	// predicate paths evaluate from one binding at a time, whatever the
-	// planner estimated for the enclosing pipeline.
-	if len(binds) < 2 {
-		return false
-	}
-	return sp != nil && sp.Strategy == planner.StrategyMerge
-}
-
-// evalStepProbe is the per-binding executor: for every context binding,
-// probe the store for candidate rows on the axis, then filter by scope,
-// alignment and predicates.
-func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, positional bool, binds []bind, ctx *evalCtx) ([]bind, error) {
 	var vd valueDriver
 	if !positional {
 		// The value-index shortcut would reorder the predicate pipeline

@@ -280,6 +280,17 @@ func TestCrossValidateRandomNoValueIndex(t *testing.T) {
 	}
 }
 
+// TestCrossValidateProbeOnly holds the per-binding probe executor alone —
+// twig and bitmap both off — to the oracle.
+func TestCrossValidateProbeOnly(t *testing.T) {
+	fig := tree.NewCorpus()
+	fig.Add(tree.Figure1())
+	crossValidate(t, fig, queryCorpus, WithoutTwig(), WithoutBitmap())
+	for seed := int64(41); seed <= 44; seed++ {
+		crossValidate(t, randomCorpus(seed, 3), queryCorpus, WithoutTwig(), WithoutBitmap())
+	}
+}
+
 // randomQuery generates a random syntactically valid LPath query.
 func randomQuery(rng *rand.Rand) string {
 	tags := []string{"S", "NP", "VP", "PP", "N", "V", "Det", "_", "_"}
@@ -387,4 +398,83 @@ func TestTopLevelScope(t *testing.T) {
 	// // inside the scope is a proper-descendant step, so the scope root
 	// itself (S) is not a candidate.
 	expect(t, e, `{//^_}`, "NP[I]")
+}
+
+// TestOrSelfAxisOrder pins the result order of every or-self long-form axis:
+// matches come back sorted by (tree, document order) with no duplicates,
+// under the planner-driven, twig-forced and probe-only configurations, and
+// agree with the oracle as a multiset. (The grammar defines six or-self
+// axes: descendant-, ancestor-, following-, preceding-, following-sibling-
+// and preceding-sibling-or-self.)
+func TestOrSelfAxisOrder(t *testing.T) {
+	queries := []string{
+		`//NP/descendant-or-self::_`,
+		`//Adj\ancestor-or-self::_`,
+		`//N/following-or-self::_`,
+		`//N/preceding-or-self::_`,
+		`//V/following-sibling-or-self::_`,
+		`//V/preceding-sibling-or-self::_`,
+		// Scoped forms: the self row must still land in document order.
+		`//VP{/V/following-sibling-or-self::_}`,
+		`//VP{//N/preceding-or-self::_}`,
+	}
+	for seed := int64(51); seed <= 56; seed++ {
+		c := randomCorpus(seed, 3)
+		s := relstore.Build(c, relstore.SchemeInterval)
+		docIdx := documentOrder(c)
+		oracle := treeval.NewCorpus(c)
+		for name, opts := range map[string][]Option{
+			"auto":        nil,
+			"twig-always": {WithTwigAlways()},
+			"probe-only":  {WithoutTwig(), WithoutBitmap()},
+		} {
+			e, err := New(s, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				p := lpath.MustParse(q)
+				got, err := e.Eval(p)
+				if err != nil {
+					t.Fatalf("seed %d %s %q: %v", seed, name, q, err)
+				}
+				for i := 1; i < len(got); i++ {
+					a, b := got[i-1], got[i]
+					if a.TreeID > b.TreeID ||
+						(a.TreeID == b.TreeID && docIdx[a.Node] >= docIdx[b.Node]) {
+						t.Errorf("seed %d %s: %q out of document order (or duplicate) at %d: %s then %s",
+							seed, name, q, i, sig(a.Node), sig(b.Node))
+						break
+					}
+				}
+				want, err := oracle.Eval(p)
+				if err != nil {
+					t.Fatalf("seed %d oracle %q: %v", seed, q, err)
+				}
+				if !sameMatches(got, want) {
+					t.Errorf("seed %d %s: %q disagrees with oracle (%d vs %d)",
+						seed, name, q, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// documentOrder maps every node of the corpus to its preorder index within
+// its tree.
+func documentOrder(c *tree.Corpus) map[*tree.Node]int {
+	idx := map[*tree.Node]int{}
+	for _, tr := range c.Trees {
+		i := 0
+		var walk func(n *tree.Node)
+		walk = func(n *tree.Node) {
+			idx[n] = i
+			i++
+			for _, k := range n.Children {
+				walk(k)
+			}
+		}
+		walk(tr.Root)
+	}
+	return idx
 }

@@ -114,7 +114,6 @@ func TestEvalLimitCancel(t *testing.T) {
 		opts []Option
 	}{
 		{"probe", []Option{WithoutPlanner()}},
-		{"merge", []Option{WithoutPlanner(), WithMergeAlways()}},
 		{"twig", []Option{WithoutPlanner(), WithTwigAlways()}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {

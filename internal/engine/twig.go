@@ -9,7 +9,7 @@ import (
 )
 
 // Holistic twig execution (docs/EXECUTION.md). Where probe evaluates a path
-// binding-at-a-time and merge step-at-a-time, the twig executor evaluates a
+// binding-at-a-time, one step after another, the twig executor evaluates a
 // whole run of consecutive steps in ONE synchronized sweep: one galloping
 // cursor per step over that step's document-order posting list, all cursors
 // advanced together in global (tid, left, depth) order, with the partial
@@ -190,10 +190,6 @@ func (e *Engine) twigRunLen(p *lpath.Path, i int, binds []bind, ctx *evalCtx) in
 		return 0
 	case e.twig == twigAlways:
 		n = e.maxTwigRun(p, i, binds)
-	case e.exec != execAuto:
-		// Forced probe (merge ablation) and forced merge both measure a
-		// specific per-step executor; the twig path would shadow it.
-		return 0
 	default:
 		sp := ctx.stepPlan(&p.Steps[i])
 		if sp == nil || sp.TwigRun < 2 || i+sp.TwigRun > len(p.Steps) {

@@ -10,9 +10,9 @@ import (
 )
 
 // Differential tests for the holistic twig executor: with the executor pinned
-// on (every maximal run sweeps) and pinned off (planner falls back to
-// merge/probe), results must agree with the tree-walking oracle and, ordered,
-// with the probe-only engine.
+// on (every maximal run sweeps) and pinned off (every step probes), results
+// must agree with the tree-walking oracle and, ordered, with the probe-only
+// engine.
 
 // twigQueries exercises the shapes the twig sweep must get right: same-name
 // vertical chains (stack discipline under laminar nesting), or-self support,
@@ -107,9 +107,9 @@ func TestCrossValidateTwigOff(t *testing.T) {
 }
 
 // TestTwigEqualsProbeOrdered builds engines over one shared store —
-// planner-driven, twig-forced, twig-off, and twig-forced with merge also
-// forced for the residual steps — and requires byte-identical ordered results
-// against the probe-only baseline on every query.
+// planner-driven, twig-forced and twig-off — and requires byte-identical
+// ordered results against the probe-only baseline (twig and bitmap off) on
+// every query.
 func TestTwigEqualsProbeOrdered(t *testing.T) {
 	queries := append(append([]string{}, queryCorpus...), twigQueries...)
 	corpora := []*tree.Corpus{nestedCorpus()}
@@ -118,7 +118,7 @@ func TestTwigEqualsProbeOrdered(t *testing.T) {
 	}
 	for ci, c := range corpora {
 		s := relstore.Build(c, relstore.SchemeInterval)
-		probe, err := New(s, WithoutMerge(), WithoutTwig())
+		probe, err := New(s, WithoutTwig(), WithoutBitmap())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,6 @@ func TestTwigEqualsProbeOrdered(t *testing.T) {
 		add("auto")
 		add("twig-always", WithTwigAlways())
 		add("twig-off", WithoutTwig())
-		add("twig-and-merge", WithTwigAlways(), WithMergeAlways())
 		for _, q := range queries {
 			p := lpath.MustParse(q)
 			want, err := probe.Eval(p)

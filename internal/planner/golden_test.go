@@ -26,7 +26,11 @@ func goldenPlans(t *testing.T, c *lpath.Corpus, allowUpdate bool) {
 	for _, eq := range lpath.EvalQueries() {
 		name := fmt.Sprintf("q%02d", eq.ID)
 		t.Run(name, func(t *testing.T) {
-			got, err := c.ExplainText(eq.Text)
+			q, err := c.CompileCached(eq.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Explain(q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,10 +70,6 @@ const (
 	// StrategyProbe evaluates the step binding-at-a-time: one index probe
 	// per context row.
 	StrategyProbe Strategy = iota
-	// StrategyMerge evaluates the whole frontier against the step's posting
-	// list in one forward sweep — the set-at-a-time structural join the
-	// interval labeling enables (docs/EXECUTION.md).
-	StrategyMerge
 	// StrategyTwig evaluates the step as part of a holistic run: one
 	// synchronized document-order sweep over every step's posting list at
 	// once, with per-step stacks instead of materialized inter-step
@@ -89,8 +85,6 @@ const (
 
 func (st Strategy) String() string {
 	switch st {
-	case StrategyMerge:
-		return "merge"
 	case StrategyTwig:
 		return "twig"
 	case StrategyBitmap:
@@ -141,15 +135,14 @@ func (p *Plan) Step(s *lpath.Step) *StepPlan { return p.steps[s] }
 
 // StrategyCounts tallies the execution strategies chosen for the main path's
 // steps (including scoped tails): how many run as per-binding probes, as
-// set-at-a-time merges, as members of holistic twig runs, and as bitmap
-// scope entries. The serving layer exports these as executor-strategy
-// metrics.
+// members of holistic twig runs, and as bitmap scope entries. The merge
+// result is always 0: the set-at-a-time merge executor was removed, but the
+// four-result signature stays because the load benchmark's traced replay
+// (loadbench/replay.go) compiles against it and reports the merge count.
 func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 	for pp := p.Root; pp != nil; pp = pp.Scoped {
 		for _, sp := range pp.Steps {
 			switch sp.Strategy {
-			case StrategyMerge:
-				merge++
 			case StrategyTwig:
 				twig++
 			case StrategyBitmap:
@@ -182,7 +175,7 @@ type StepPlan struct {
 	Step   *lpath.Step
 	Access Access
 	// Strategy says whether the engine executes the step as per-binding
-	// probes or as one set-at-a-time merge over the sorted frontier.
+	// probes, as part of a holistic twig run, or as a bitmap scope entry.
 	Strategy Strategy
 	// Value/Attr/Postings describe the value-index drive when Access is
 	// AccessValueIndex: the literal, the attribute name (with '@'), and

@@ -33,7 +33,7 @@ func WithoutValueIndex() Option {
 }
 
 // WithoutTwig makes the planner never mark holistic twig runs, so every step
-// keeps its per-step probe/merge strategy; it mirrors the engine option of
+// keeps the probe strategy; it mirrors the engine option of
 // the same name so the twig ablation plans exactly what the pre-twig engine
 // would execute.
 func WithoutTwig() Option {
@@ -41,7 +41,7 @@ func WithoutTwig() Option {
 }
 
 // WithoutBitmap makes the planner never mark bitmap scope entries, so scoped
-// tails keep their per-step probe/merge/twig strategies; it mirrors the
+// tails keep their per-step probe/twig strategies; it mirrors the
 // engine option of the same name so the bitmap ablation plans exactly what
 // the pre-bitmap engine would execute.
 func WithoutBitmap() Option {
@@ -320,45 +320,6 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 		}
 	}
 
-	// Execution strategy: for the mergeable axes, compare the modeled cost
-	// of per-binding probes — a binary search into the posting plus the scan
-	// per context — against one set-at-a-time sweep: sorting the frontier,
-	// then advancing a single posting cursor with galloping, which bounds the
-	// sweep by min(posting touches, probe touches). The merge executor
-	// requires the candidate set to be a pure function of (context, scope),
-	// so positional predicates and edge alignment keep the probe, as does the
-	// virtual root (its probe is already a single range handover) and the
-	// value index (a different access path altogether).
-	if MergeableAxis(step.Axis) && !positional && !step.LeftAlign && !step.RightAlign &&
-		!c.root && sp.Access != AccessValueIndex {
-		f := math.Max(nIn, 1)
-		posting := math.Max(pl.nameCount(step.Test), 1)
-		lgP := math.Log2(math.Max(posting, 2))
-		lgF := math.Log2(f + 2)
-		// Sorting the frontier touches rows sequentially; a probe's binary
-		// search chases cold cache lines. Weight sort comparisons at a
-		// quarter of a probe touch.
-		sortCost := 0.25 * f * lgF
-		var probeTotal, mergeTotal float64
-		if step.Axis == lpath.AxisChild {
-			// Child probes hit the {tid,pid} hash index (no log); the merge
-			// variant walks the whole posting list and binary-searches the
-			// frontier, so it only pays off for very dense frontiers.
-			probeTotal = f * probeCost
-			mergeTotal = sortCost + posting*lgF
-		} else {
-			// Per-binding overhead (buffer handling, probe setup) rides on
-			// every probe; galloping bounds the sweep by whichever is
-			// smaller, the posting walk or the per-context searches.
-			const probeOverhead = 4
-			probeTotal = f * (lgP + probeOverhead + probeCost)
-			mergeTotal = sortCost + math.Min(posting, f*lgP) + f + probeCost
-		}
-		if mergeTotal < probeTotal {
-			sp.Strategy = StrategyMerge
-		}
-	}
-
 	// Predicates: estimate each conjunct, then order the commutative ones
 	// cheapest-effective-first (rank = cost / (1 - selectivity)).
 	pctx := ectx{test: step.Test, span: pl.spanOf(step.Test)}
@@ -400,30 +361,13 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	return sp
 }
 
-// MergeableAxis reports whether the axis has a set-at-a-time merge
-// implementation in the engine (internal/engine/merge.go): the axes whose
-// candidate ranges are sargable over one sorted posting ordering. Sibling
-// axes probe per-parent child lists and the vertical reverse axes walk the
-// pid chain, so they stay per-binding.
-func MergeableAxis(axis lpath.Axis) bool {
-	switch axis {
-	case lpath.AxisChild,
-		lpath.AxisDescendant, lpath.AxisDescendantOrSelf,
-		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
-		lpath.AxisPreceding, lpath.AxisPrecedingOrSelf,
-		lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:
-		return true
-	}
-	return false
-}
-
 // TwigableAxis reports whether the axis can participate in a holistic twig
 // run (internal/engine/twig.go): the forward axes whose supporting context
 // row always arrives no later than the supported row in one document-order
 // (tid, left, depth) sweep, so support can be decided at arrival time from a
 // per-step stack, adjacency heap, or running minimum. The reverse axes would
 // need supporters from the future, and the non-immediate sibling axes a
-// per-parent map, so they stay with probe/merge.
+// per-parent map, so they stay with probe.
 func TwigableAxis(axis lpath.Axis) bool {
 	switch axis {
 	case lpath.AxisChild,

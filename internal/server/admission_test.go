@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lpath"
 )
 
 func TestAdmissionFastPath(t *testing.T) {
@@ -113,7 +115,7 @@ func TestOverloadSheds429WhileInFlightCompletes(t *testing.T) {
 	s, c := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: -1, CacheSize: -1})
 	h := s.Handler()
 
-	want, err := c.CountText(`//NP`)
+	want, err := c.Count(lpath.MustCompile(`//NP`))
 	if err != nil {
 		t.Fatal(err)
 	}

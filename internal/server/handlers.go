@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -176,9 +177,23 @@ func (s *Server) requestContext(r *http.Request, req *queryRequest) (context.Con
 	return context.WithTimeout(r.Context(), d)
 }
 
+// evalPanicError is the error a recovered evaluation panic becomes: the
+// request fails with 500 and the server keeps serving.
+type evalPanicError struct {
+	value any    // the value passed to panic
+	stack []byte // the panicking goroutine's stack
+}
+
+func (e *evalPanicError) Error() string {
+	return fmt.Sprintf("internal error: evaluation panicked: %v", e.value)
+}
+
 // evalStatus maps an evaluation (or admission) error to its HTTP status.
 func evalStatus(err error) int {
+	var pe *evalPanicError
 	switch {
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -243,7 +258,12 @@ func (s *Server) handleEval(kind string) http.HandlerFunc {
 		resp, cacheable, err := s.evaluate(ctx, kind, entry, req)
 		if err != nil {
 			code := evalStatus(err)
-			writeError(w, code, "%v", err)
+			if code == http.StatusInternalServerError {
+				// The panic value and stack go to the log, not the client.
+				writeError(w, code, "internal error")
+			} else {
+				writeError(w, code, "%v", err)
+			}
 			s.logRequest(r, kind, req, code, false, time.Since(start), err)
 			return
 		}
@@ -263,7 +283,17 @@ func (s *Server) handleEval(kind string) http.HandlerFunc {
 // immutable value to cache (Cached=false, ElapsedMS unset; the handler stamps
 // both). For "query" the cacheable value is a *queryResult — a limit-agnostic
 // prefix the cache serves to later requests — not the rendered response.
-func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *queryRequest) (*queryResponse, any, error) {
+// A panic during evaluation is recovered into an *evalPanicError, so one bad
+// query fails its own request instead of the connection.
+func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *queryRequest) (_ *queryResponse, _ any, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &evalPanicError{value: v, stack: debug.Stack()}
+		}
+	}()
+	if s.evalHook != nil {
+		s.evalHook(req)
+	}
 	resp := &queryResponse{Corpus: entry.Name, Query: req.Query}
 
 	// One plan-cache lookup resolves the text to the plan the engine runs;
@@ -273,8 +303,8 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 	if err != nil {
 		return nil, nil, err
 	}
-	if p, m, tw, bm, err := entry.Corpus.Strategies(q); err == nil {
-		s.metrics.AddStrategies(p, m, tw, bm)
+	if p, tw, bm, err := entry.Corpus.Strategies(q); err == nil {
+		s.metrics.AddStrategies(p, tw, bm)
 	}
 
 	switch kind {
@@ -419,6 +449,12 @@ func (s *Server) logRequest(r *http.Request, kind string, req *queryRequest, cod
 	}
 	if err != nil {
 		attrs = append(attrs, slog.String("error", err.Error()))
+		var pe *evalPanicError
+		if errors.As(err, &pe) {
+			attrs = append(attrs, slog.String("panic", fmt.Sprint(pe.value)), slog.String("stack", string(pe.stack)))
+			s.cfg.Logger.Error("query", attrs...)
+			return
+		}
 		s.cfg.Logger.Warn("query", attrs...)
 		return
 	}

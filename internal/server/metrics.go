@@ -55,10 +55,9 @@ type Metrics struct {
 	endpoints map[string]*endpointMetrics
 
 	// Executor strategy counts, summed from EXPLAIN-style planning of every
-	// uncached query: how many main-path steps ran as probes, merges, twigs,
-	// and bitmap scope entries.
+	// uncached query: how many main-path steps ran as probes, twigs, and
+	// bitmap scope entries.
 	StrategyProbe  atomic.Uint64
-	StrategyMerge  atomic.Uint64
 	StrategyTwig   atomic.Uint64
 	StrategyBitmap atomic.Uint64
 
@@ -87,9 +86,8 @@ func (m *Metrics) Endpoint(name string) *endpointMetrics {
 }
 
 // AddStrategies accumulates executor-strategy step counts from a plan.
-func (m *Metrics) AddStrategies(probe, merge, twig, bitmap int) {
+func (m *Metrics) AddStrategies(probe, twig, bitmap int) {
 	m.StrategyProbe.Add(uint64(probe))
-	m.StrategyMerge.Add(uint64(merge))
 	m.StrategyTwig.Add(uint64(twig))
 	m.StrategyBitmap.Add(uint64(bitmap))
 }
@@ -162,7 +160,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra ...func(io.Writer)) {
 	fmt.Fprintf(w, "# HELP lpathd_plan_steps_total Main-path steps executed, by strategy (from planning uncached queries).\n")
 	fmt.Fprintf(w, "# TYPE lpathd_plan_steps_total counter\n")
 	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"probe\"} %d\n", m.StrategyProbe.Load())
-	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"merge\"} %d\n", m.StrategyMerge.Load())
 	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"twig\"} %d\n", m.StrategyTwig.Load())
 	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"bitmap\"} %d\n", m.StrategyBitmap.Load())
 

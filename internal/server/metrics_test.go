@@ -31,7 +31,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(429, 10*time.Microsecond)
-	m.AddStrategies(3, 2, 1, 4)
+	m.AddStrategies(3, 1, 4)
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -43,7 +43,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`lpathd_request_duration_seconds_count{endpoint="query"} 3`,
 		`lpathd_request_duration_seconds_bucket{endpoint="query",le="+Inf"} 3`,
 		`lpathd_plan_steps_total{strategy="probe"} 3`,
-		`lpathd_plan_steps_total{strategy="merge"} 2`,
 		`lpathd_plan_steps_total{strategy="twig"} 1`,
 		`lpathd_plan_steps_total{strategy="bitmap"} 4`,
 	} {

@@ -91,6 +91,10 @@ type Server struct {
 	cache     *ResultCache
 	metrics   *Metrics
 	http      *http.Server
+
+	// evalHook, when set, runs at the start of every uncached evaluation;
+	// tests use it to inject a panic. It is nil in production.
+	evalHook func(*queryRequest)
 }
 
 // New assembles a server over the registry. Corpora may be registered before

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -63,7 +64,7 @@ func TestQueryCountExplainEndpoints(t *testing.T) {
 	h := s.Handler()
 
 	for _, query := range []string{`//NP`, `//VP/VB-->NN`, `//S[//NP/ADJP]`} {
-		want, err := c.CountText(query)
+		want, err := c.Count(lpath.MustCompile(query))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,6 +167,51 @@ func TestDeadlineYields504(t *testing.T) {
 	w := postJSON(t, h, "/v1/count", queryRequest{Query: `//_[//_[//_]]`, TimeoutMS: 1})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestEvalPanicYields500 pins fault isolation for serial evaluations: a
+// panic inside one evaluation fails that request with 500 and a log line
+// naming the query and the panic value, and the server keeps answering.
+func TestEvalPanicYields500(t *testing.T) {
+	var logs bytes.Buffer
+	s, _ := newTestServer(t, Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	s.evalHook = func(req *queryRequest) {
+		if req.Query == `//NP` {
+			panic("injected evaluation fault")
+		}
+	}
+	h := s.Handler()
+
+	w := postJSON(t, h, "/v1/query", queryRequest{Query: `//NP`})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", w.Code, w.Body.String())
+	}
+	if strings.Contains(w.Body.String(), "injected") {
+		t.Errorf("500 body leaks the panic value: %s", w.Body.String())
+	}
+	var line struct {
+		Level  string `json:"level"`
+		Query  string `json:"query"`
+		Status int    `json:"status"`
+		Panic  string `json:"panic"`
+		Stack  string `json:"stack"`
+	}
+	if err := json.Unmarshal(logs.Bytes(), &line); err != nil {
+		t.Fatalf("decoding log line %q: %v", logs.String(), err)
+	}
+	if line.Level != "ERROR" || line.Query != `//NP` || line.Status != http.StatusInternalServerError ||
+		line.Panic != "injected evaluation fault" || line.Stack == "" {
+		t.Errorf("log line = %+v", line)
+	}
+
+	if w := postJSON(t, h, "/v1/count", queryRequest{Query: `//VP`}); w.Code != http.StatusOK {
+		t.Fatalf("next request: status %d, want 200: %s", w.Code, w.Body.String())
+	}
+	// The failed evaluation left nothing in the result cache.
+	s.evalHook = nil
+	if w := postJSON(t, h, "/v1/query", queryRequest{Query: `//NP`}); w.Code != http.StatusOK || decodeResponse(t, w).Cached {
+		t.Fatalf("retried query: status %d, cached %v", w.Code, decodeResponse(t, w).Cached)
 	}
 }
 

@@ -118,7 +118,7 @@ type Corpus struct {
 	workers     int
 	shardCount  int
 
-	// planCache memoizes query text → compiled plan for SelectText.
+	// planCache memoizes query text → compiled plan for CompileCached.
 	planCache *engine.PlanCache
 
 	// gen counts store rebuilds; cached executable plans are keyed to it so
@@ -130,12 +130,8 @@ type Corpus struct {
 	// noPlanner disables cost-based planning on every engine this corpus
 	// builds (see WithoutPlanner).
 	noPlanner bool
-	// mergeOff / mergeAlways pin the step execution strategy on every engine
-	// this corpus builds (see WithoutMergeExecutor and withMergeAlways).
-	mergeOff    bool
-	mergeAlways bool
-	// twigOff / twigAlways pin the holistic twig executor the same way (see
-	// WithoutTwigExecutor and withTwigAlways).
+	// twigOff / twigAlways pin the holistic twig executor on every engine
+	// this corpus builds (see WithoutTwigExecutor and withTwigAlways).
 	twigOff    bool
 	twigAlways bool
 	// bitmapOff / bitmapAlways pin the dense-bitset kernels the same way (see
@@ -178,36 +174,10 @@ func WithoutPlanner() Option {
 	}
 }
 
-// WithoutMergeExecutor disables the set-at-a-time merge executor, so every
-// location step runs per-binding index probes regardless of the plan's
-// strategy. The two executors are result-identical (the differential tests
-// enforce it); this option exists for those tests and for measuring the merge
-// executor's contribution (docs/EXECUTION.md).
-func WithoutMergeExecutor() Option {
-	return func(c *Corpus) {
-		c.mergeOff = true
-		c.mergeAlways = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
-
-// withMergeAlways forces the merge executor on every eligible step, bypassing
-// the planner's cost decision; the differential tests and fuzzers use it to
-// keep the merge path under continuous cross-checking.
-func withMergeAlways() Option {
-	return func(c *Corpus) {
-		c.mergeAlways = true
-		c.mergeOff = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
-
 // WithoutTwigExecutor disables the holistic twig executor, so every location
-// step runs through the per-step probe/merge dispatch regardless of the
-// plan's run marking. The twig executor is result-identical to the per-step
-// executors (the differential tests enforce it); this option exists for
+// step runs through the per-binding probe executor regardless of the plan's
+// run marking. The twig executor is result-identical to the probe executor
+// (the differential tests enforce it); this option exists for
 // those tests and for measuring the twig executor's contribution
 // (docs/EXECUTION.md).
 func WithoutTwigExecutor() Option {
@@ -258,8 +228,8 @@ func withBitmapAlways() Option {
 	}
 }
 
-// WithPlanCache enables the compiled-plan cache used by SelectText and
-// CountText, holding at most capacity plans under LRU eviction (capacity < 1
+// WithPlanCache enables the compiled-plan cache used by CompileCached,
+// holding at most capacity plans under LRU eviction (capacity < 1
 // selects the default, engine.DefaultPlanCacheSize = 128).
 func WithPlanCache(capacity int) Option {
 	return func(c *Corpus) { c.planCache = engine.NewPlanCache(capacity) }
@@ -447,12 +417,6 @@ func (c *Corpus) engineOpts() []engine.Option {
 	if c.noPlanner {
 		opts = append(opts, engine.WithoutPlanner())
 	}
-	if c.mergeOff {
-		opts = append(opts, engine.WithoutMerge())
-	}
-	if c.mergeAlways {
-		opts = append(opts, engine.WithMergeAlways())
-	}
 	if c.twigOff {
 		opts = append(opts, engine.WithoutTwig())
 	}
@@ -579,35 +543,24 @@ func (c *Corpus) ExplainContext(ctx context.Context, q *Query) (string, error) {
 	return c.eng.ExplainPlanContext(ctx, q.path, exec)
 }
 
-// ExplainText is Explain on raw query text through the plan cache (see
-// CompileCached): the report renders the cached executable plan a repeated
-// text will actually run.
-func (c *Corpus) ExplainText(text string) (string, error) {
-	q, err := c.CompileCached(text)
-	if err != nil {
-		return "", err
-	}
-	return c.Explain(q)
-}
-
 // Strategies returns how many of the query's main-path steps execute as
-// per-binding probes, as set-at-a-time merges, as members of holistic twig
-// runs, and as bitmap scope entries (the exec= column of EXPLAIN; see
+// per-binding probes, as members of holistic twig runs, and as bitmap scope
+// entries (the exec= column of EXPLAIN; see
 // docs/EXECUTION.md) under the plan Select would run. With planning
 // disabled every step counts as a probe.
-func (c *Corpus) Strategies(q *Query) (probe, merge, twig, bitmap int, err error) {
+func (c *Corpus) Strategies(q *Query) (probe, twig, bitmap int, err error) {
 	if err := c.Build(); err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	plan := c.plan(q)
 	if plan == nil {
 		for p := q.path; p != nil; p = p.Scoped {
 			probe += len(p.Steps)
 		}
-		return probe, 0, 0, 0, nil
+		return probe, 0, 0, nil
 	}
-	probe, merge, twig, bitmap = plan.StrategyCounts()
-	return probe, merge, twig, bitmap, nil
+	probe, _, twig, bitmap = plan.StrategyCounts()
+	return probe, twig, bitmap, nil
 }
 
 // numWorkers resolves the configured worker bound.
@@ -732,56 +685,6 @@ func (c *Corpus) plan(q *Query) *planner.Plan {
 		return q.exec
 	}
 	return c.eng.Plan(q.path)
-}
-
-// SelectText compiles the query text via the plan cache and evaluates it —
-// the repeated-traffic entry point: under a configured plan cache, a hot
-// query pays parse + validate + cost-based planning once per store build,
-// and each repeat executes the cached plan directly.
-func (c *Corpus) SelectText(text string) ([]Match, error) {
-	return c.SelectTextContext(context.Background(), text)
-}
-
-// SelectTextContext is SelectText honoring a context, with the same
-// cooperative cancellation guarantees as SelectContext.
-func (c *Corpus) SelectTextContext(ctx context.Context, text string) ([]Match, error) {
-	q, err := c.CompileCached(text)
-	if err != nil {
-		return nil, err
-	}
-	return c.SelectContext(ctx, q)
-}
-
-// SelectLimitText is SelectLimit on raw query text through the plan cache —
-// the serving path for limited queries: compile and plan once per store
-// build, stream with early termination on every repeat.
-func (c *Corpus) SelectLimitText(text string, limit int) ([]Match, error) {
-	return c.SelectLimitTextContext(context.Background(), text, limit)
-}
-
-// SelectLimitTextContext is SelectLimitText honoring a context, like
-// SelectTextContext.
-func (c *Corpus) SelectLimitTextContext(ctx context.Context, text string, limit int) ([]Match, error) {
-	q, err := c.CompileCached(text)
-	if err != nil {
-		return nil, err
-	}
-	return c.SelectLimitContext(ctx, q, limit)
-}
-
-// CountText compiles via the plan cache and counts the matches with the
-// count-only pipeline.
-func (c *Corpus) CountText(text string) (int, error) {
-	return c.CountTextContext(context.Background(), text)
-}
-
-// CountTextContext is CountText honoring a context, like SelectTextContext.
-func (c *Corpus) CountTextContext(ctx context.Context, text string) (int, error) {
-	q, err := c.CompileCached(text)
-	if err != nil {
-		return 0, err
-	}
-	return c.CountContext(ctx, q)
 }
 
 // CacheStats reports plan-cache effectiveness; see Corpus.PlanCacheStats.

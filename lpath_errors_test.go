@@ -73,31 +73,18 @@ func TestErrorParityAcrossEntryPoints(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("Compile(%q) unexpectedly succeeded", bad)
 		}
-		entries := []struct {
-			name string
-			run  func() error
-		}{
-			{"SelectText", func() error { _, err := c.SelectText(bad); return err }},
-			{"SelectTextContext", func() error { _, err := c.SelectTextContext(context.Background(), bad); return err }},
-			{"CountText", func() error { _, err := c.CountText(bad); return err }},
-			{"CountTextContext", func() error { _, err := c.CountTextContext(context.Background(), bad); return err }},
-			{"ExplainText", func() error { _, err := c.ExplainText(bad); return err }},
-			{"CompileCached", func() error { _, err := c.CompileCached(bad); return err }},
-		}
-		for _, e := range entries {
-			err := e.run()
-			if err == nil {
-				t.Errorf("%s: no error for %q", e.name, bad)
-				continue
-			}
-			if err.Error() != wantErr.Error() {
-				t.Errorf("%s: error %q, want %q", e.name, err, wantErr)
-			}
+		_, err := c.CompileCached(bad)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("CompileCached: error %v, want %q", err, wantErr)
 		}
 	})
 
 	t.Run("cancelled context", func(t *testing.T) {
 		q := MustCompile(`//NP`)
+		cq, err := c.CompileCached(`//NP`)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		entries := []struct {
@@ -109,8 +96,8 @@ func TestErrorParityAcrossEntryPoints(t *testing.T) {
 			{"ExplainContext", func() error { _, err := c.ExplainContext(ctx, q); return err }},
 			{"SelectParallelContext", func() error { _, err := c.SelectParallelContext(ctx, q); return err }},
 			{"CountParallelContext", func() error { _, err := c.CountParallelContext(ctx, q); return err }},
-			{"SelectTextContext", func() error { _, err := c.SelectTextContext(ctx, `//NP`); return err }},
-			{"CountTextContext", func() error { _, err := c.CountTextContext(ctx, `//NP`); return err }},
+			{"SelectContext(cached)", func() error { _, err := c.SelectContext(ctx, cq); return err }},
+			{"CountContext(cached)", func() error { _, err := c.CountContext(ctx, cq); return err }},
 		}
 		for _, e := range entries {
 			if err := e.run(); !errors.Is(err, context.Canceled) {
@@ -148,12 +135,16 @@ func TestContextEntryPointsAgreeWhenHealthy(t *testing.T) {
 		if n != len(want) {
 			t.Errorf("CountContext(%s): %d, want %d", text, n, len(want))
 		}
-		nt, err := c.CountTextContext(ctx, text)
+		cq, err := c.CompileCached(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nt, err := c.CountContext(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if nt != len(want) {
-			t.Errorf("CountTextContext(%s): %d, want %d", text, nt, len(want))
+			t.Errorf("CountContext(cached %s): %d, want %d", text, nt, len(want))
 		}
 		pn, err := c.CountParallelContext(ctx, q)
 		if err != nil {

@@ -8,8 +8,7 @@ import (
 
 // limitStrategies pins each executor strategy the way the differential
 // fuzzer does, so the early-termination parity holds for the probe loop, the
-// merge sweep, the twig sweep, the bitmap kernels and the planner's own mix
-// alike.
+// twig sweep, the bitmap kernels and the planner's own mix alike.
 func limitStrategies() []struct {
 	name string
 	opts []Option
@@ -19,8 +18,7 @@ func limitStrategies() []struct {
 		opts []Option
 	}{
 		{"auto", nil},
-		{"probe", []Option{WithoutMergeExecutor(), WithoutTwigExecutor()}},
-		{"merge", []Option{withMergeAlways(), WithoutTwigExecutor()}},
+		{"probe", []Option{WithoutTwigExecutor(), WithoutBitmapExecutor()}},
 		{"twig", []Option{withTwigAlways()}},
 		{"bitmap", []Option{withBitmapAlways()}},
 		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
@@ -152,7 +150,8 @@ func TestMatchesIterator(t *testing.T) {
 }
 
 // TestSelectLimitText covers the plan-cache serving path: with and without a
-// configured cache, SelectLimitText equals the prefix of SelectText.
+// configured cache, SelectLimit on a CompileCached query equals the prefix of
+// Select.
 func TestSelectLimitText(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		opts := []Option{}
@@ -164,19 +163,23 @@ func TestSelectLimitText(t *testing.T) {
 			t.Fatal(err)
 		}
 		const text = `//VB->NP`
-		full, err := c.SelectText(text)
+		q, err := c.CompileCached(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.SelectLimitText(text, 3)
+		full, err := c.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.SelectLimit(q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(full) < 3 || !reflect.DeepEqual(got, full[:3]) {
-			t.Errorf("cached=%v: SelectLimitText(3) = %d matches, want the first 3 of %d",
+			t.Errorf("cached=%v: SelectLimit(3) = %d matches, want the first 3 of %d",
 				cached, len(got), len(full))
 		}
-		if _, err := c.SelectLimitText(`//VB[`, 3); err == nil {
+		if _, err := c.CompileCached(`//VB[`); err == nil {
 			t.Errorf("cached=%v: compile error not reported", cached)
 		}
 	}

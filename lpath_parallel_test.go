@@ -144,34 +144,35 @@ func TestPlanCacheThroughPublicAPI(t *testing.T) {
 	c := figure1Corpus(t)
 	c.Configure(WithPlanCache(8))
 	for i := 0; i < 3; i++ {
-		n, err := c.CountText(`//NP`)
-		if err != nil || n != 4 {
-			t.Fatalf("CountText = %d, %v", n, err)
+		if n, err := countCached(c, `//NP`); err != nil || n != 4 {
+			t.Fatalf("cached Count = %d, %v", n, err)
 		}
 	}
 	st := c.PlanCacheStats()
 	if st.Misses != 1 || st.Hits != 2 || st.Len != 1 {
 		t.Errorf("stats after 3 identical queries = %+v", st)
 	}
-	if _, err := c.SelectText(`//NP[`); err == nil {
-		t.Error("expected compile error through SelectText")
+	if _, err := c.CompileCached(`//NP[`); err == nil {
+		t.Error("expected compile error through CompileCached")
 	}
 	if got := c.PlanCacheStats().Len; got != 1 {
 		t.Errorf("failed compile cached: Len = %d", got)
 	}
 	// Cached plans must produce identical results to fresh ones.
 	fresh, _ := c.Select(MustCompile(`//NP`))
-	cached, err := c.SelectText(`//NP`)
-	if err != nil || !reflect.DeepEqual(fresh, cached) {
+	q, err := c.CompileCached(`//NP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, err := c.Select(q); err != nil || !reflect.DeepEqual(fresh, cached) {
 		t.Errorf("cached plan results differ: %v", err)
 	}
 }
 
 func TestSelectTextWithoutCache(t *testing.T) {
 	c := figure1Corpus(t)
-	n, err := c.CountText(`//NP`)
-	if err != nil || n != 4 {
-		t.Fatalf("CountText without cache = %d, %v", n, err)
+	if n, err := countCached(c, `//NP`); err != nil || n != 4 {
+		t.Fatalf("Count without cache = %d, %v", n, err)
 	}
 	if st := c.PlanCacheStats(); st != (CacheStats{}) {
 		t.Errorf("no-cache stats = %+v, want zero", st)
@@ -240,4 +241,13 @@ func TestParallelShardPanicIsAnError(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countCached counts the matches of text compiled through the plan cache.
+func countCached(c *Corpus, text string) (int, error) {
+	q, err := c.CompileCached(text)
+	if err != nil {
+		return 0, err
+	}
+	return c.Count(q)
 }

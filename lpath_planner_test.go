@@ -19,18 +19,14 @@ func TestPlannerResultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Executor rotation: the merge executor forced on every eligible step,
-	// and disabled entirely — both must match the planner-chosen mix.
-	forcedMerge, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withMergeAlways())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutMergeExecutor())
+	// The pure-probe reference: twig and bitmap both off, so every step runs
+	// through the per-binding probe executor.
+	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutTwigExecutor(), WithoutBitmapExecutor())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Twig rotation: the holistic sweep forced on every maximal run, and
-	// disabled entirely (falling back to the per-step probe/merge pipeline).
+	// disabled entirely (falling back to per-step execution).
 	forcedTwig, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withTwigAlways())
 	if err != nil {
 		t.Fatal(err)
@@ -63,14 +59,6 @@ func TestPlannerResultIdentity(t *testing.T) {
 		if !matchesEqual(got, want) {
 			t.Errorf("Q%d: planned %d matches, unplanned %d — or a match differs",
 				eq.ID, len(got), len(want))
-		}
-		gotMerge, err := forcedMerge.Select(q)
-		if err != nil {
-			t.Fatalf("Q%d forced-merge: %v", eq.ID, err)
-		}
-		if !matchesEqual(gotMerge, want) {
-			t.Errorf("Q%d: forced-merge %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotMerge), len(want))
 		}
 		gotProbe, err := probeOnly.Select(q)
 		if err != nil {
@@ -196,7 +184,8 @@ func TestExplainOnEvalMatrix(t *testing.T) {
 }
 
 // TestExplainTextCachedPlanFreshActuals pins the EXPLAIN-through-cache
-// contract: repeated ExplainText renders the cached executable plan with
+// contract: repeatedly explaining a CompileCached query renders the cached
+// executable plan with
 // fresh actual-cardinality counters — byte-identical reports, no stale or
 // doubled actuals — and the repeats hit the plan cache rather than
 // replanning.
@@ -206,7 +195,14 @@ func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
 		t.Fatal(err)
 	}
 	const text = `//VP{//NP$}`
-	first, err := c.ExplainText(text)
+	explainCached := func() (string, error) {
+		q, err := c.CompileCached(text)
+		if err != nil {
+			return "", err
+		}
+		return c.Explain(q)
+	}
+	first, err := explainCached()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +211,20 @@ func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
 	}
 	before := c.PlanCacheStats()
 	for i := 0; i < 3; i++ {
-		again, err := c.ExplainText(text)
+		again, err := explainCached()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again != first {
-			t.Fatalf("ExplainText drifted on repeat %d:\n--- first ---\n%s\n--- again ---\n%s", i+1, first, again)
+			t.Fatalf("cached Explain drifted on repeat %d:\n--- first ---\n%s\n--- again ---\n%s", i+1, first, again)
 		}
 	}
 	after := c.PlanCacheStats()
 	if after.Hits <= before.Hits {
-		t.Errorf("repeated ExplainText did not hit the plan cache (hits %d -> %d)", before.Hits, after.Hits)
+		t.Errorf("repeated cached Explain did not hit the plan cache (hits %d -> %d)", before.Hits, after.Hits)
 	}
 	if after.Misses != before.Misses {
-		t.Errorf("repeated ExplainText re-missed the plan cache (misses %d -> %d)", before.Misses, after.Misses)
+		t.Errorf("repeated cached Explain re-missed the plan cache (misses %d -> %d)", before.Misses, after.Misses)
 	}
 
 	// The cached-plan report must agree with a from-scratch Explain of the

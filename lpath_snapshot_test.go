@@ -18,7 +18,7 @@ func TestSnapshotQueriesAllStrategies(t *testing.T) {
 	}{
 		{"default", nil},
 		{"no-planner", []Option{WithoutPlanner()}},
-		{"no-merge", []Option{WithoutMergeExecutor()}},
+		{"probe-only", []Option{WithoutTwigExecutor(), WithoutBitmapExecutor()}},
 		{"no-twig", []Option{WithoutTwigExecutor()}},
 		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
 		{"bitmap-always", []Option{withBitmapAlways()}},
